@@ -29,6 +29,13 @@ func New(n uint64) *Set {
 // FromWords reconstructs a Set of n bits from its word representation, e.g.
 // after wire decoding. The slice is copied; the caller keeps ownership.
 func FromWords(words []uint64, n uint64) (*Set, error) {
+	return Wrap(append([]uint64(nil), words...), n)
+}
+
+// Wrap is FromWords without the copy: the returned Set takes ownership of
+// words, which the caller must not use afterwards. Decoders that fill a
+// fresh word slice hand it over this way instead of paying a second copy.
+func Wrap(words []uint64, n uint64) (*Set, error) {
 	if want := (n + 63) / 64; uint64(len(words)) != want {
 		return nil, fmt.Errorf("bitset: %d words cannot hold exactly %d bits (want %d words)", len(words), n, want)
 	}
@@ -37,12 +44,7 @@ func FromWords(words []uint64, n uint64) (*Set, error) {
 			return nil, fmt.Errorf("bitset: bits set beyond length %d", n)
 		}
 	}
-	s := &Set{
-		words: make([]uint64, len(words)),
-		n:     n,
-	}
-	copy(s.words, words)
-	return s, nil
+	return &Set{words: words, n: n}, nil
 }
 
 // Len returns the number of bits the set holds.
@@ -104,6 +106,11 @@ func (s *Set) Words() []uint64 {
 	copy(out, s.words)
 	return out
 }
+
+// Raw returns the underlying word storage without copying, in the same
+// order as Words. Callers must not mutate it; it is for read-only walks
+// (serialization, rank tables) that would otherwise pay a copy per call.
+func (s *Set) Raw() []uint64 { return s.words }
 
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {

@@ -122,6 +122,25 @@ func TestFromWordsCopies(t *testing.T) {
 	}
 }
 
+func TestWrapSharesStorage(t *testing.T) {
+	if _, err := Wrap([]uint64{1 << 10}, 10); err == nil {
+		t.Fatal("Wrap accepted stray bits past the length")
+	}
+	words := []uint64{0}
+	s, err := Wrap(words, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words[0] = 1 // Wrap took the slice itself
+	if !s.Test(0) {
+		t.Fatal("Wrap copied its input")
+	}
+	s.Set(5)
+	if raw := s.Raw(); &raw[0] != &words[0] || raw[0] != 1|1<<5 {
+		t.Fatal("Raw does not expose the live storage")
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	s := New(64)
 	s.Set(5)

@@ -1,6 +1,7 @@
 // AllocsPerRun pins for the //dimatch:noalloc functions of this package:
-// (*Matcher).Match, (*Matcher).sampledAccumulate, (*Filter).probe and
-// intersectSorted — the per-resident station probe path. The noalloc
+// (*Matcher).Match, (*Matcher).sampledAccumulate, (*Filter).probe,
+// (*Filter).rankOf and intersectSorted — the per-resident station probe
+// path. The noalloc
 // analyzer is the static early warning; these tests are the runtime ground
 // truth after one warm-up call grows the matcher's scratch buffers.
 // cmd/di-lint -allocharness reports any annotated function missing from
@@ -74,4 +75,18 @@ func TestNoallocintersectSorted(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("intersectSorted allocates %v times per run; //dimatch:noalloc requires 0", n)
 	}
+}
+
+func TestNoallocFilterrankOf(t *testing.T) {
+	m, _ := warmMatcher(t)
+	f := m.filter
+	var sink uint32
+	if n := testing.AllocsPerRun(100, func() {
+		for idx := uint64(0); idx < f.params.Bits; idx += 61 {
+			sink += f.rankOf(idx)
+		}
+	}); n != 0 {
+		t.Fatalf("(*Filter).rankOf allocates %v times per run; //dimatch:noalloc requires 0", n)
+	}
+	_ = sink
 }

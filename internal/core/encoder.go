@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dimatch/internal/bitset"
 	"dimatch/internal/bloom"
 	"dimatch/internal/pattern"
 )
@@ -22,7 +23,11 @@ type Encoder struct {
 	filter  *Filter
 	queries map[QueryID]bool
 	seen    map[int64]struct{} // distinct hashed keys, for the FP model
-	sealed  bool
+	// pairs records bit<<32 | weight ID for every bit an insertion sets or
+	// finds set, in insertion (so ascending ID) order; Filter() seals them
+	// into the filter's pointer lists.
+	pairs  []uint64
+	sealed bool
 }
 
 // NewEncoder returns an encoder for patterns of the given time-series
@@ -32,6 +37,7 @@ func NewEncoder(params Params, patternLength int) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.bits = bitset.New(f.params.Bits)
 	return &Encoder{
 		params:  f.params,
 		length:  patternLength,
@@ -89,13 +95,26 @@ func (e *Encoder) AddQuery(q Query) error {
 			return err
 		}
 		if err := e.forEachSampledValue(combined, func(slot int, value int64) {
-			e.seen[e.filter.key(slot, value)] = struct{}{}
-			e.filter.insert(slot, value, id)
+			e.insert(slot, value, id)
 		}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// insert hashes one value into the filter, attaching the weight pointer to
+// every bit it sets or finds set.
+func (e *Encoder) insert(slot int, value int64, id WeightID) {
+	f := e.filter
+	key := f.key(slot, value)
+	e.seen[key] = struct{}{}
+	var buf [16]uint64
+	for _, idx := range f.family.Indexes(key, buf[:0]) {
+		f.bits.Set(idx)
+		e.pairs = append(e.pairs, idx<<32|uint64(id))
+	}
+	f.inserted++
 }
 
 // forEachSampledValue accumulates p, samples it and yields every value in
@@ -122,8 +141,12 @@ func (e *Encoder) forEachSampledValue(p pattern.Pattern, yield func(slot int, va
 // Filter seals the encoder and returns the built WBF. Further AddQuery
 // calls fail: the filter has been (conceptually) disseminated.
 func (e *Encoder) Filter() *Filter {
-	e.sealed = true
-	e.filter.distinct = uint64(len(e.seen))
+	if !e.sealed {
+		e.sealed = true
+		e.filter.distinct = uint64(len(e.seen))
+		e.filter.seal(e.pairs)
+		e.pairs = nil
+	}
 	return e.filter
 }
 

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"dimatch/internal/bloom"
@@ -93,17 +92,20 @@ func DefaultParams(expectedValues uint64) Params {
 // Parameters arrive over the wire (a filter ships its Params in every query
 // frame), so values far beyond any useful configuration are treated as
 // corruption rather than honored: Hashes bounds the loop every probe runs,
-// and Samples bounds the sample-index table a filter allocates.
+// Samples bounds the sample-index table a filter allocates, and Bits keeps
+// every bit index, set-bit rank and pointer-list offset within the 32 bits
+// the filter's pointer-list layout addresses them with.
 const (
 	MaxHashes  = 512
 	MaxSamples = 1 << 16
+	MaxBits    = 1 << 32
 )
 
 // Validate checks the parameter set and returns a descriptive error for the
 // first violation found.
 func (p Params) Validate() error {
-	if p.Bits == 0 {
-		return errors.New("core: Params.Bits must be positive")
+	if p.Bits == 0 || p.Bits > MaxBits {
+		return fmt.Errorf("core: Params.Bits = %d, want 1..%d", p.Bits, uint64(MaxBits))
 	}
 	if p.Hashes <= 0 || p.Hashes > MaxHashes {
 		return fmt.Errorf("core: Params.Hashes = %d, want 1..%d", p.Hashes, MaxHashes)

@@ -15,6 +15,7 @@ func TestParamsValidate(t *testing.T) {
 		mutate func(*Params)
 	}{
 		{name: "zero bits", mutate: func(p *Params) { p.Bits = 0 }},
+		{name: "bits beyond 32-bit ranks", mutate: func(p *Params) { p.Bits = MaxBits + 1 }},
 		{name: "zero hashes", mutate: func(p *Params) { p.Hashes = 0 }},
 		{name: "negative hashes", mutate: func(p *Params) { p.Hashes = -2 }},
 		{name: "zero samples", mutate: func(p *Params) { p.Samples = 0 }},

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"dimatch/internal/bitset"
 	"dimatch/internal/hash"
@@ -39,18 +40,31 @@ func (w WeightEntry) Value() float64 {
 // Filter is the Weighted Bloom Filter: a bit array in which every set bit
 // carries the list of weight pointers of the values that set it, plus the
 // weight table those pointers index.
+//
+// The pointer lists live in one CSR (compressed sparse row) layout instead
+// of a per-bit map: the r-th set bit in ascending order owns
+// ids[offs[r]:offs[r+1]], and rank[w] counts the set bits in the words
+// before word w, so a set bit's row r is one table read plus one popcount.
+// Sealing an encoded filter or decoding a received one therefore costs a
+// fixed number of allocations however many bits are set.
 type Filter struct {
 	params    Params
 	length    int   // time-series length the filter was built for
 	sampleIdx []int // deterministic sample positions, shared with stations
 	bits      *bitset.Set
-	slots     map[uint64][]WeightID // bit index -> sorted unique weight IDs
+	rank      []uint32   // per word: set bits in all earlier words
+	offs      []uint32   // per set bit, then one: row bounds into ids
+	ids       []WeightID // every row's sorted unique weight IDs, packed
 	weights   []WeightEntry
 	family    hash.Family
 	inserted  uint64 // total value insertions (with band expansion)
 	distinct  uint64 // distinct hashed keys (what the FP model sees)
 	keys      keyer
 }
+
+// ErrCorruptFilter is wrapped by every error FromParts returns: the
+// serialized parts do not describe a well-formed filter.
+var ErrCorruptFilter = errors.New("core: corrupt filter")
 
 // keyer maps (sample slot, accumulated value) pairs to hashed elements. It
 // is shared by the WBF and the BF baseline so both hash identically.
@@ -82,7 +96,8 @@ func (k keyer) key(slot int, value int64) int64 {
 	return int64(hash.Mix64(uint64(value)) ^ k.salts[slot])
 }
 
-// newFilter allocates an empty filter; used by the Encoder.
+// newFilter returns a filter without bit array or pointer lists: the
+// Encoder allocates a fresh bit array, FromParts adopts a decoded one.
 func newFilter(p Params, length int) (*Filter, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -99,8 +114,6 @@ func newFilter(p Params, length int) (*Filter, error) {
 		params:    p,
 		length:    length,
 		sampleIdx: idx,
-		bits:      bitset.New(p.Bits),
-		slots:     make(map[uint64][]WeightID),
 		family:    hash.NewFamily(p.Seed, p.Hashes, p.Bits),
 		keys:      newKeyer(p, len(idx)),
 	}, nil
@@ -117,21 +130,64 @@ func (f *Filter) addWeight(e WeightEntry) WeightID {
 	return WeightID(len(f.weights) - 1)
 }
 
-// insert hashes one value into the filter, attaching the weight pointer to
-// every bit it sets or finds set.
-func (f *Filter) insert(slot int, value int64, id WeightID) {
-	var buf [16]uint64
-	for _, idx := range f.family.Indexes(f.key(slot, value), buf[:0]) {
-		f.bits.Set(idx)
-		list := f.slots[idx]
-		// Weight IDs are assigned in increasing order during encoding, so an
-		// append keeps the list sorted; skip the duplicate produced when a
-		// band inserts the same bit twice for one combination.
-		if n := len(list); n == 0 || list[n-1] != id {
-			f.slots[idx] = append(list, id)
+// indexRank fills the per-word rank table from the bit array and returns
+// the number of set bits.
+func (f *Filter) indexRank() uint32 {
+	words := f.bits.Raw()
+	f.rank = make([]uint32, len(words))
+	n := uint32(0)
+	for i, w := range words {
+		f.rank[i] = n
+		n += uint32(bits.OnesCount64(w))
+	}
+	return n
+}
+
+// rankOf returns the number of set bits below bit idx — the CSR row of idx
+// when idx is set.
+//
+//dimatch:noalloc
+func (f *Filter) rankOf(idx uint64) uint32 {
+	w := idx / 64
+	return f.rank[w] + uint32(bits.OnesCount64(f.bits.Raw()[w]&(1<<(idx%64)-1)))
+}
+
+// seal builds the pointer lists from the Encoder's pairs, each bit<<32 | id,
+// recorded in ascending id order for bits already set in f.bits. It is a
+// counting sort keyed on each bit's rank: one pass sizes the rows, one
+// scatters the ids (which keeps every row ascending), and one drops the
+// repeats a band or a hash collision records for the same bit and id.
+func (f *Filter) seal(pairs []uint64) {
+	occupied := f.indexRank()
+	offs := make([]uint32, occupied+1)
+	for _, p := range pairs {
+		offs[f.rankOf(p>>32)+1]++
+	}
+	for r := uint32(1); r <= occupied; r++ {
+		offs[r] += offs[r-1]
+	}
+	// offs[r] starts row r; the scatter advances it to the row's end.
+	ids := make([]WeightID, len(pairs))
+	for _, p := range pairs {
+		r := f.rankOf(p >> 32)
+		ids[offs[r]] = WeightID(p)
+		offs[r]++
+	}
+	copy(offs[1:], offs[:occupied])
+	offs[0] = 0
+	n := uint32(0)
+	for r := uint32(0); r < occupied; r++ {
+		lo, hi := offs[r], offs[r+1]
+		offs[r] = n
+		for _, id := range ids[lo:hi] {
+			if n == offs[r] || ids[n-1] != id {
+				ids[n] = id
+				n++
+			}
 		}
 	}
-	f.inserted++
+	offs[occupied] = n
+	f.offs, f.ids = offs, ids[:n:n]
 }
 
 // probe looks one value up. It returns (nil, false) if any bit is unset —
@@ -149,9 +205,14 @@ func (f *Filter) probe(slot int, value int64, scratch []WeightID) ([]WeightID, b
 		}
 	}
 	out := scratch[:0]
-	out = append(out, f.slots[indexes[0]]...)
-	for _, idx := range indexes[1:] {
-		out = intersectSorted(out, f.slots[idx])
+	for i, idx := range indexes {
+		r := f.rankOf(idx)
+		list := f.ids[f.offs[r]:f.offs[r+1]]
+		if i == 0 {
+			out = append(out, list...)
+			continue
+		}
+		out = intersectSorted(out, list)
 		if len(out) == 0 {
 			// All bits set but no common weight: a hash-collision artifact;
 			// the WBF rejects it where a plain BF would accept.
@@ -221,24 +282,14 @@ func (f *Filter) DistinctKeys() uint64 {
 // FillRatio returns the fraction of set bits.
 func (f *Filter) FillRatio() float64 { return f.bits.FillRatio() }
 
-// Words exposes the bit array for serialization.
-func (f *Filter) Words() []uint64 { return f.bits.Words() }
+// Words exposes the bit array for serialization. Callers must not mutate
+// it.
+func (f *Filter) Words() []uint64 { return f.bits.Raw() }
 
-// Slots returns the bit->weight-pointer map in a deterministic, sorted form
-// for serialization: parallel slices of bit indexes (ascending) and their
-// pointer lists.
-func (f *Filter) Slots() (bitIdx []uint64, ids [][]WeightID) {
-	bitIdx = make([]uint64, 0, len(f.slots))
-	for idx := range f.slots {
-		bitIdx = append(bitIdx, idx)
-	}
-	sort.Slice(bitIdx, func(i, j int) bool { return bitIdx[i] < bitIdx[j] })
-	ids = make([][]WeightID, len(bitIdx))
-	for i, idx := range bitIdx {
-		ids[i] = append([]WeightID(nil), f.slots[idx]...)
-	}
-	return bitIdx, ids
-}
+// Slots returns the pointer lists in CSR form for serialization: the list
+// of the i-th set bit of Words, counting in ascending bit order, is
+// ids[offs[i]:offs[i+1]]. Callers must not mutate either slice.
+func (f *Filter) Slots() (offs []uint32, ids []WeightID) { return f.offs, f.ids }
 
 // SizeBytes returns the approximate in-memory footprint: bit array, slot
 // lists (4 bytes per pointer + 12 bytes per occupied bit for the index and
@@ -246,53 +297,60 @@ func (f *Filter) Slots() (bitIdx []uint64, ids [][]WeightID) {
 // storage- and communication-cost experiments.
 func (f *Filter) SizeBytes() uint64 {
 	size := f.bits.SizeBytes()
-	for _, list := range f.slots {
-		size += 12 + 4*uint64(len(list))
-	}
+	size += 12*uint64(len(f.offs)-1) + 4*uint64(len(f.ids))
 	size += 16 * uint64(len(f.weights))
 	return size
 }
 
-// FromParts reconstructs a Filter from serialized state, validating that
-// slot lists are sorted, unique, in range and sit on set bits.
-func FromParts(p Params, length int, words []uint64, bitIdx []uint64, ids [][]WeightID, weights []WeightEntry, inserted uint64) (*Filter, error) {
+// FromParts reconstructs a Filter from serialized state in CSR form:
+// bitIdx[i] is the bit the i-th pointer list sits on, as the wire carries
+// it, and that list is ids[offs[i]:offs[i+1]]. Because the layout finds a
+// list by its bit's rank, bitIdx must name exactly the set bits, strictly
+// ascending: a duplicate, out-of-order, out-of-range or unset index is
+// rejected, as is an empty, unsorted or dangling pointer list. Every
+// rejection wraps ErrCorruptFilter. FromParts takes ownership of words,
+// offs, ids and weights; bitIdx is only read.
+func FromParts(p Params, length int, words []uint64, bitIdx []uint64, offs []uint32, ids []WeightID, weights []WeightEntry, inserted uint64) (*Filter, error) {
 	f, err := newFilter(p, length)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCorruptFilter, err)
 	}
-	bits, err := bitset.FromWords(words, p.Bits)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if f.bits, err = bitset.Wrap(words, f.params.Bits); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptFilter, err)
 	}
-	f.bits = bits
-	if len(bitIdx) != len(ids) {
-		return nil, fmt.Errorf("core: %d slot indexes but %d pointer lists", len(bitIdx), len(ids))
+	if len(offs) != len(bitIdx)+1 {
+		return nil, fmt.Errorf("%w: %d slot indexes but %d pointer-list offsets", ErrCorruptFilter, len(bitIdx), len(offs))
 	}
-	if set := bits.Count(); set != uint64(len(bitIdx)) {
-		return nil, fmt.Errorf("core: %d set bits but %d slot lists", set, len(bitIdx))
+	if set := f.indexRank(); set != uint32(len(bitIdx)) {
+		return nil, fmt.Errorf("%w: %d set bits but %d slot lists", ErrCorruptFilter, set, len(bitIdx))
 	}
-	f.weights = append([]WeightEntry(nil), weights...)
-	f.inserted = inserted
+	if offs[0] != 0 || offs[len(bitIdx)] != uint32(len(ids)) {
+		return nil, fmt.Errorf("%w: pointer-list offsets span [%d,%d), want [0,%d)", ErrCorruptFilter, offs[0], offs[len(bitIdx)], len(ids))
+	}
 	for i, idx := range bitIdx {
-		if idx >= p.Bits {
-			return nil, fmt.Errorf("core: slot index %d out of range", idx)
+		switch {
+		case idx >= f.params.Bits:
+			return nil, fmt.Errorf("%w: slot index %d out of range", ErrCorruptFilter, idx)
+		case i > 0 && idx <= bitIdx[i-1]:
+			return nil, fmt.Errorf("%w: slot index %d follows %d (duplicate or out of order)", ErrCorruptFilter, idx, bitIdx[i-1])
+		case !f.bits.Test(idx):
+			return nil, fmt.Errorf("%w: slot list on unset bit %d", ErrCorruptFilter, idx)
+		case offs[i+1] <= offs[i]:
+			return nil, fmt.Errorf("%w: empty pointer list at bit %d", ErrCorruptFilter, idx)
+		case offs[i+1] > uint32(len(ids)):
+			return nil, fmt.Errorf("%w: pointer list at bit %d ends past %d ids", ErrCorruptFilter, idx, len(ids))
 		}
-		if !bits.Test(idx) {
-			return nil, fmt.Errorf("core: slot list on unset bit %d", idx)
-		}
-		list := ids[i]
-		if len(list) == 0 {
-			return nil, fmt.Errorf("core: empty pointer list at bit %d", idx)
-		}
+		list := ids[offs[i]:offs[i+1]]
 		for j, id := range list {
 			if int(id) >= len(weights) {
-				return nil, fmt.Errorf("core: dangling weight pointer %d at bit %d", id, idx)
+				return nil, fmt.Errorf("%w: dangling weight pointer %d at bit %d", ErrCorruptFilter, id, idx)
 			}
 			if j > 0 && list[j-1] >= id {
-				return nil, fmt.Errorf("core: unsorted pointer list at bit %d", idx)
+				return nil, fmt.Errorf("%w: unsorted pointer list at bit %d", ErrCorruptFilter, idx)
 			}
 		}
-		f.slots[idx] = append([]WeightID(nil), list...)
 	}
+	f.offs, f.ids, f.weights = offs, ids, weights
+	f.inserted = inserted
 	return f, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math/bits"
 	"testing"
 
 	"dimatch/internal/pattern"
@@ -92,12 +94,31 @@ func TestFilterZeroWeightCombinationSkipped(t *testing.T) {
 	}
 }
 
+// setBits lists the set bits of a word array in ascending order: the slot
+// indexes a serialized filter carries beside its CSR lists.
+func setBits(words []uint64) []uint64 {
+	var out []uint64
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, uint64(wi)*64+uint64(bits.TrailingZeros64(w)))
+		}
+	}
+	return out
+}
+
+// partsOf copies a filter's serialized parts, so a test may mutate them.
+func partsOf(f *Filter) (words, bitIdx []uint64, offs []uint32, ids []WeightID, weights []WeightEntry) {
+	o, i := f.Slots()
+	words = append([]uint64(nil), f.Words()...)
+	return words, setBits(words), append([]uint32(nil), o...), append([]WeightID(nil), i...), append([]WeightEntry(nil), f.Weights()...)
+}
+
 func TestFilterRoundTripThroughParts(t *testing.T) {
 	p := testParams()
 	p.Epsilon = 1
 	f := buildPaperFilter(t, p)
-	bitIdx, ids := f.Slots()
-	g, err := FromParts(p, f.Length(), f.Words(), bitIdx, ids, f.Weights(), f.Inserted())
+	words, bitIdx, offs, ids, weights := partsOf(f)
+	g, err := FromParts(p, f.Length(), words, bitIdx, offs, ids, weights, f.Inserted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,73 +146,89 @@ func TestFilterRoundTripThroughParts(t *testing.T) {
 func TestFromPartsRejectsCorruption(t *testing.T) {
 	p := testParams()
 	f := buildPaperFilter(t, p)
-	bitIdx, ids := f.Slots()
-	words := f.Words()
-	weights := f.Weights()
+	words, bitIdx, offs, ids, weights := partsOf(f)
+	if len(bitIdx) < 2 {
+		t.Fatalf("paper filter has %d set bits; the cases below need 2", len(bitIdx))
+	}
+	set := make(map[uint64]bool, len(bitIdx))
+	for _, b := range bitIdx {
+		set[b] = true
+	}
 
+	type parts struct {
+		bi   []uint64
+		offs []uint32
+		ids  []WeightID
+		ws   []WeightEntry
+	}
 	tests := []struct {
 		name   string
-		mutate func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry)
+		mutate func(t *testing.T, c *parts)
 	}{
 		{
-			name: "slot count mismatch",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				return bi[:len(bi)-1], id, ws
-			},
+			name:   "slot count mismatch",
+			mutate: func(t *testing.T, c *parts) { c.bi = c.bi[:len(c.bi)-1] },
 		},
 		{
-			name: "dangling pointer",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				id[0] = []WeightID{99}
-				return bi, id, ws
-			},
+			name:   "dangling pointer",
+			mutate: func(t *testing.T, c *parts) { c.ids[0] = 99 },
 		},
 		{
 			name: "unsorted list",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				id[0] = []WeightID{1, 0}
-				return bi, id, ws
+			mutate: func(t *testing.T, c *parts) {
+				for r := 0; r+1 < len(c.offs); r++ {
+					if lo := c.offs[r]; c.offs[r+1]-lo >= 2 {
+						c.ids[lo], c.ids[lo+1] = c.ids[lo+1], c.ids[lo]
+						return
+					}
+				}
+				t.Fatal("no pointer list with two entries to unsort")
 			},
 		},
 		{
-			name: "empty list",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				id[0] = nil
-				return bi, id, ws
-			},
+			name:   "empty list",
+			mutate: func(t *testing.T, c *parts) { c.offs[1] = c.offs[0] },
 		},
 		{
 			name: "slot on unset bit",
-			mutate: func(bi []uint64, id [][]WeightID, ws []WeightEntry) ([]uint64, [][]WeightID, []WeightEntry) {
-				// Find an unset bit and claim a slot there.
-				for cand := uint64(0); cand < p.Bits; cand++ {
-					used := false
-					for _, b := range bi {
-						if b == cand {
-							used = true
-							break
-						}
-					}
-					if !used {
-						bi[0] = cand
-						break
+			mutate: func(t *testing.T, c *parts) {
+				// Claim a slot on an unset bit below the second slot, so the
+				// indexes still ascend and only the bit itself is wrong.
+				for cand := uint64(0); cand < c.bi[1]; cand++ {
+					if !set[cand] {
+						c.bi[0] = cand
+						return
 					}
 				}
-				return bi, id, ws
+				t.Fatal("no unset bit below the second slot")
 			},
+		},
+		{
+			name:   "duplicate slot index",
+			mutate: func(t *testing.T, c *parts) { c.bi[1] = c.bi[0] },
+		},
+		{
+			name:   "out-of-order slot index",
+			mutate: func(t *testing.T, c *parts) { c.bi[0], c.bi[1] = c.bi[1], c.bi[0] },
+		},
+		{
+			name:   "offsets past the ids",
+			mutate: func(t *testing.T, c *parts) { c.offs[len(c.offs)-1]++ },
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			bi := append([]uint64(nil), bitIdx...)
-			id := make([][]WeightID, len(ids))
-			for i := range ids {
-				id[i] = append([]WeightID(nil), ids[i]...)
+			c := parts{
+				bi:   append([]uint64(nil), bitIdx...),
+				offs: append([]uint32(nil), offs...),
+				ids:  append([]WeightID(nil), ids...),
+				ws:   append([]WeightEntry(nil), weights...),
 			}
-			ws := append([]WeightEntry(nil), weights...)
-			bi, id, ws = tt.mutate(bi, id, ws)
-			if _, err := FromParts(p, f.Length(), words, bi, id, ws, f.Inserted()); err == nil {
-				t.Fatal("expected corruption to be rejected")
+			tt.mutate(t, &c)
+			w := append([]uint64(nil), words...)
+			_, err := FromParts(p, f.Length(), w, c.bi, c.offs, c.ids, c.ws, f.Inserted())
+			if !errors.Is(err, ErrCorruptFilter) {
+				t.Fatalf("err = %v, want ErrCorruptFilter", err)
 			}
 		})
 	}

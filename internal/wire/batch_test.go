@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"dimatch/internal/core"
+	"dimatch/internal/pattern"
 )
 
 // TestFrameVersionStamping pins the negotiation contract: batch kinds travel
@@ -233,5 +237,185 @@ func TestStatsReplyMaxVersion(t *testing.T) {
 	}
 	if got.Station != 9 || got.Residents != 4 || got.StorageBytes != 96 || got.Length != 3 {
 		t.Fatalf("legacy fields lost: %+v", got)
+	}
+}
+
+// workedBatchQuery2 rebuilds the docs/WIRE.md two-query worked frame: query
+// 1 with local {1, 2} and query 2 with local {2, 1} in a tiny filter
+// (m = 64, k = 2, b = 2, ε = 0, seed 5). Both reach accumulated value 3 at
+// the second sample, so the bits that value sets carry both pointers.
+func workedBatchQuery2(t testing.TB) BatchQuery {
+	t.Helper()
+	enc, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []core.Query{
+		{ID: 1, Locals: []pattern.Pattern{{1, 2}}},
+		{ID: 2, Locals: []pattern.Pattern{{2, 1}}},
+	} {
+		if err := enc.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return BatchQuery{Queries: []core.QueryID{1, 2}, Filter: enc.Filter()}
+}
+
+// workedBatchQuery2Lists are the worked frame's pointer lists, slot by slot.
+var workedBatchQuery2Lists = [][]uint64{{1}, {0, 1}, {0}, {1}, {0}, {0, 1}}
+
+// workedBatchQuery2WithSlots returns the worked two-query payload with its
+// slot block rewritten to carry the given absolute bit indexes (delta
+// encoded with wrap-around, as a forged frame would) and the worked
+// pointer lists.
+func workedBatchQuery2WithSlots(t testing.TB, indexes []uint64) []byte {
+	t.Helper()
+	slotBlock := func(indexes []uint64) []byte {
+		var w writer
+		w.uvarint(uint64(len(indexes)))
+		prev := uint64(0)
+		for i, idx := range indexes {
+			w.uvarint(idx - prev)
+			prev = idx
+			w.uvarint(uint64(len(workedBatchQuery2Lists[i])))
+			prevID := uint64(0)
+			for _, id := range workedBatchQuery2Lists[i] {
+				w.uvarint(id - prevID)
+				prevID = id
+			}
+		}
+		return w.buf
+	}
+	payload := mustHex(t, workedBatchQuery2Hex)[12:]
+	genuine := slotBlock([]uint64{6, 24, 26, 41, 45, 53})
+	head := len(payload) - len(genuine)
+	if head < 0 || string(payload[head:]) != string(genuine) {
+		t.Fatal("worked two-query frame does not end in the slot block it documents")
+	}
+	return append(append([]byte(nil), payload[:head]...), slotBlock(indexes)...)
+}
+
+// TestWorkedBatchQueryHex pins the docs/WIRE.md worked KindBatchQuery frames
+// to the live encoder, byte for byte, and checks that decoding and
+// re-encoding each one gives the same bytes back: the filter's in-memory
+// layout is free to change, its wire form is not.
+func TestWorkedBatchQueryHex(t *testing.T) {
+	one, err := core.NewEncoder(core.Params{Bits: 64, Hashes: 2, Samples: 2, Tolerance: core.ToleranceScaled, Seed: 5}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.AddQuery(core.Query{ID: 1, Locals: []pattern.Pattern{{1, 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		batch BatchQuery
+		want  string
+	}{
+		{"one query", BatchQuery{Queries: []core.QueryID{1}, Filter: one.Filter()}, workedBatchQueryHex},
+		{"two queries", workedBatchQuery2(t), workedBatchQuery2Hex},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := EncodeBatchQuery(tc.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(m.WithRequest(42).Encode()); got != tc.want {
+				t.Fatalf("worked batch-query frame drifted from docs/WIRE.md:\n got  %s\n want %s", got, tc.want)
+			}
+			frame, err := Decode(mustHex(t, tc.want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := DecodeBatchQuery(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := EncodeBatchQuery(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(re.WithRequest(42).Encode()); got != tc.want {
+				t.Fatalf("decode/encode changed the worked frame:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsBadSlotIndexes: the i-th slot of a filter block must sit
+// on the i-th set bit. A frame whose slot indexes repeat, descend or land
+// on an unset bit — with the set-bit and slot counts still equal — is a
+// typed error. The duplicate case once decoded into a filter whose set bit
+// at 24 had silently lost its pointer list.
+func TestDecodeRejectsBadSlotIndexes(t *testing.T) {
+	if _, err := DecodeBatchQuery(Message{Kind: KindBatchQuery, Payload: workedBatchQuery2WithSlots(t, []uint64{6, 24, 26, 41, 45, 53})}); err != nil {
+		t.Fatalf("genuine slot block rejected: %v", err)
+	}
+	for name, indexes := range map[string][]uint64{
+		"duplicate":    {6, 6, 26, 41, 45, 53},
+		"out of order": {6, 24, 26, 45, 41, 53},
+		"unset bit":    {6, 24, 27, 41, 45, 53},
+		"past the end": {6, 24, 26, 41, 45, 64},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := DecodeBatchQuery(Message{Kind: KindBatchQuery, Payload: workedBatchQuery2WithSlots(t, indexes)})
+			if !errors.Is(err, core.ErrCorruptFilter) {
+				t.Fatalf("err = %v, want core.ErrCorruptFilter", err)
+			}
+		})
+	}
+}
+
+// TestFilterFrameRoundTripSeeded encodes seeded query batches of 1 to 20
+// queries — cycling hash count, ε, tolerance mode and position salting, up
+// to the Figure-4 filter size — and requires that decoding a frame and
+// encoding the result gives back the original frame byte for byte.
+func TestFilterFrameRoundTripSeeded(t *testing.T) {
+	const length = 8
+	rng := rand.New(rand.NewSource(20120613))
+	for batch := 1; batch <= 20; batch++ {
+		p := core.Params{
+			Bits:           []uint64{64, 256, 1 << 10, 1 << 15}[batch%4],
+			Hashes:         1 + batch%7,
+			Samples:        1 + rng.Intn(length),
+			Epsilon:        int64(batch % 3),
+			Tolerance:      core.ToleranceMode(1 + batch%2),
+			Seed:           rng.Uint64(),
+			PositionSalted: batch/2%2 == 1,
+		}
+		enc, err := core.NewEncoder(p, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]core.QueryID, batch)
+		for q := range ids {
+			ids[q] = core.QueryID(1 + rng.Intn(1000)*32 + q)
+			locals := make([]pattern.Pattern, 1+rng.Intn(3))
+			for l := range locals {
+				locals[l] = make(pattern.Pattern, length)
+				for i := range locals[l] {
+					locals[l][i] = rng.Int63n(5)
+				}
+				locals[l][0]++
+			}
+			if err := enc.AddQuery(core.Query{ID: ids[q], Locals: locals}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := EncodeBatchQuery(BatchQuery{Queries: ids, Filter: enc.Filter()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := DecodeBatchQuery(m)
+		if err != nil {
+			t.Fatalf("batch %d %+v: %v", batch, p, err)
+		}
+		re, err := EncodeBatchQuery(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Payload, m.Payload) {
+			t.Fatalf("batch %d %+v: decode/encode changed the %d-byte frame", batch, p, len(m.Payload))
+		}
 	}
 }

@@ -19,6 +19,12 @@ const (
 	workedBatchQueryHex = "a7d1030e2a000000" + "34000000" +
 		"0101400000000000000002020001050000000000000000" +
 		"020201000000050020200001010103030418010002010013010008" + "0100"
+	// The two-query worked KindBatchQuery frame from docs/WIRE.md: two
+	// single-local queries sharing bits, so some slots carry two pointers.
+	workedBatchQuery2Hex = "a7d1030e2a000000" + "41000000" +
+		"020101" + "4000000000000000020200010500000000000000" +
+		"000204" + "01" + "4000000500222000" + "02" + "01010303" + "02010303" +
+		"06" + "060101" + "12020001" + "020100" + "0f0101" + "040100" + "08020001"
 	workedSummaryReplyHex = "a7d105132a000000" + "1e000000" +
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
@@ -114,6 +120,10 @@ func FuzzDecode(f *testing.F) {
 func FuzzDecodePayload(f *testing.F) {
 	// Payloads of the worked frames (frame header stripped).
 	f.Add(uint8(KindBatchQuery), mustHex(f, workedBatchQueryHex)[12:])
+	f.Add(uint8(KindBatchQuery), mustHex(f, workedBatchQuery2Hex)[12:])
+	// The duplicate-slot-index frame: a zero bitIndexDelta after the first
+	// slot, once decoded into a filter that silently lost a pointer list.
+	f.Add(uint8(KindBatchQuery), workedBatchQuery2WithSlots(f, []uint64{6, 6, 26, 41, 45, 53}))
 	f.Add(uint8(KindSummaryReply), mustHex(f, workedSummaryReplyHex)[12:])
 	f.Add(uint8(KindFetch), EncodeFetch(Fetch{Persons: []core.PersonID{1, 2, 3}}).Payload)
 	f.Add(uint8(KindEvict), EncodeEvict(Evict{Persons: []core.PersonID{9, 10}}).Payload)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"dimatch/internal/bloom"
@@ -43,17 +44,24 @@ func writeFilter(w *writer, f *core.Filter) {
 		w.uvarint(uint64(e.Denominator))
 	}
 
-	bitIdx, ids := f.Slots()
-	w.uvarint(uint64(len(bitIdx)))
-	prev := uint64(0)
-	for i, idx := range bitIdx {
-		w.uvarint(idx - prev) // indexes ascend; delta-encode
-		prev = idx
-		w.uvarint(uint64(len(ids[i])))
-		prevID := uint64(0)
-		for _, id := range ids[i] {
-			w.uvarint(uint64(id) - prevID) // ids ascend within a slot
-			prevID = uint64(id)
+	// The slot block walks the set bits in ascending order; the i-th set
+	// bit's list is row i of the filter's CSR.
+	offs, ids := f.Slots()
+	w.uvarint(uint64(len(offs) - 1))
+	prev, row := uint64(0), 0
+	for wi, word := range words {
+		for ; word != 0; word &= word - 1 {
+			idx := uint64(wi)*64 + uint64(bits.TrailingZeros64(word))
+			w.uvarint(idx - prev) // indexes ascend; delta-encode
+			prev = idx
+			list := ids[offs[row]:offs[row+1]]
+			row++
+			w.uvarint(uint64(len(list)))
+			prevID := uint64(0)
+			for _, id := range list {
+				w.uvarint(uint64(id) - prevID) // ids ascend within a slot
+				prevID = uint64(id)
+			}
 		}
 	}
 }
@@ -95,26 +103,46 @@ func readFilter(r *reader) (*core.Filter, error) {
 		}
 	}
 
+	// Two passes over the slot block: the first only totals the list
+	// lengths, so the second decodes straight into exactly-sized CSR arrays.
 	nSlots := r.count(3)
-	bitIdx := make([]uint64, nSlots)
-	ids := make([][]core.WeightID, nSlots)
-	prev := uint64(0)
-	for i := 0; i < nSlots; i++ {
-		prev += r.uvarint()
-		bitIdx[i] = prev
-		listLen := r.count(1)
-		list := make([]core.WeightID, listLen)
-		prevID := uint64(0)
-		for j := range list {
-			prevID += r.uvarint()
-			list[j] = core.WeightID(prevID)
-		}
-		ids[i] = list
+	start, total := r.off, 0
+	for i := 0; i < nSlots && r.err == nil; i++ {
+		r.skipUvarints(1)
+		n := r.count(1)
+		r.skipUvarints(n)
+		total += n
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	return core.FromParts(p, length, words, bitIdx, ids, weights, inserted)
+	r.off = start
+	bitIdx := make([]uint64, nSlots)
+	offs := make([]uint32, nSlots+1)
+	ids := make([]core.WeightID, total)
+	prev, k := uint64(0), 0
+	for i := range bitIdx {
+		prev += r.uvarint()
+		bitIdx[i] = prev
+		n := r.count(1)
+		if k+n > len(ids) {
+			// Unreachable while both passes parse the same bytes alike;
+			// kept so a divergence is an error, not an index panic.
+			r.fail(fmt.Errorf("wire: slot lists exceed the %d ids counted: %w", len(ids), ErrTruncated))
+			break
+		}
+		prevID := uint64(0)
+		for j := 0; j < n; j++ {
+			prevID += r.uvarint()
+			ids[k] = core.WeightID(prevID)
+			k++
+		}
+		offs[i+1] = uint32(k)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return core.FromParts(p, length, words, bitIdx, offs, ids, weights, inserted)
 }
 
 // EncodeWBFQuery renders a filter for dissemination to stations — the
@@ -215,7 +243,6 @@ func DecodeBatchQuery(m Message) (BatchQuery, error) {
 		return BatchQuery{}, fmt.Errorf("%w: zero queries", ErrBatchMismatch)
 	}
 	out := BatchQuery{Queries: make([]core.QueryID, 0, n)}
-	declared := make(map[core.QueryID]bool, n)
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		d := r.uvarint()
@@ -227,7 +254,6 @@ func DecodeBatchQuery(m Message) (BatchQuery, error) {
 		}
 		prev += d
 		out.Queries = append(out.Queries, core.QueryID(prev))
-		declared[core.QueryID(prev)] = true
 	}
 	f, err := readFilter(r)
 	if err != nil {
@@ -237,7 +263,8 @@ func DecodeBatchQuery(m Message) (BatchQuery, error) {
 		return BatchQuery{}, err
 	}
 	for _, e := range f.Weights() {
-		if !declared[e.Query] {
+		// out.Queries ascends strictly, so membership is a binary search.
+		if _, ok := slices.BinarySearch(out.Queries, e.Query); !ok {
 			return BatchQuery{}, fmt.Errorf("%w: weight entry references undeclared query %d", ErrBatchMismatch, e.Query)
 		}
 	}

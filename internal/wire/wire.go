@@ -505,6 +505,11 @@ func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		// One-byte values — most deltas and counts — skip the general loop.
+		r.off++
+		return uint64(r.buf[r.off-1])
+	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.fail(errShortBuffer)
@@ -512,6 +517,24 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// skipUvarints advances past n uvarints without decoding them: each ends
+// at its first byte below 0x80. Whoever reads the same bytes for real
+// still validates every value.
+func (r *reader) skipUvarints(n int) {
+	if r.err != nil || n == 0 {
+		return
+	}
+	for i, b := range r.buf[r.off:] {
+		if b < 0x80 {
+			if n--; n == 0 {
+				r.off += i + 1
+				return
+			}
+		}
+	}
+	r.fail(errShortBuffer)
 }
 
 func (r *reader) u8() uint8 {
