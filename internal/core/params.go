@@ -93,12 +93,13 @@ func DefaultParams(expectedValues uint64) Params {
 // frame), so values far beyond any useful configuration are treated as
 // corruption rather than honored: Hashes bounds the loop every probe runs,
 // Samples bounds the sample-index table a filter allocates, and Bits keeps
-// every bit index, set-bit rank and pointer-list offset within the 32 bits
-// the filter's pointer-list layout addresses them with.
+// every bit index and set-bit count — so every rank — within the 32 bits
+// the filter's pointer-list layout addresses them with: at 2^32 bits, a
+// full bit array would count 2^32 set bits, which wraps to 0.
 const (
 	MaxHashes  = 512
 	MaxSamples = 1 << 16
-	MaxBits    = 1 << 32
+	MaxBits    = 1<<32 - 1
 )
 
 // Validate checks the parameter set and returns a descriptive error for the

@@ -10,6 +10,11 @@ func TestParamsValidate(t *testing.T) {
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
+	largest := valid
+	largest.Bits = MaxBits
+	if err := largest.Validate(); err != nil {
+		t.Fatalf("Bits = MaxBits rejected: %v", err)
+	}
 	tests := []struct {
 		name   string
 		mutate func(*Params)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dimatch/internal/bitset"
 	"dimatch/internal/hash"
@@ -152,11 +153,13 @@ func (f *Filter) rankOf(idx uint64) uint32 {
 	return f.rank[w] + uint32(bits.OnesCount64(f.bits.Raw()[w]&(1<<(idx%64)-1)))
 }
 
-// seal builds the pointer lists from the Encoder's pairs, each bit<<32 | id,
-// recorded in ascending id order for bits already set in f.bits. It is a
-// counting sort keyed on each bit's rank: one pass sizes the rows, one
-// scatters the ids (which keeps every row ascending), and one drops the
-// repeats a band or a hash collision records for the same bit and id.
+// seal builds the pointer lists from the Encoder's pairs, each bit<<32 | id
+// for a bit already set in f.bits, recorded in ascending id order. It is a
+// counting sort keyed on each bit's rank, which is linear where a
+// comparison sort of the pairs is not: count each row, prefix-sum the
+// counts into row bounds, scatter the ids (stable, so every row stays
+// ascending), then compact away the repeats a band or a hash collision
+// records for the same bit and id.
 func (f *Filter) seal(pairs []uint64) {
 	occupied := f.indexRank()
 	offs := make([]uint32, occupied+1)
@@ -166,27 +169,20 @@ func (f *Filter) seal(pairs []uint64) {
 	for r := uint32(1); r <= occupied; r++ {
 		offs[r] += offs[r-1]
 	}
-	// offs[r] starts row r; the scatter advances it to the row's end.
+	next := slices.Clone(offs[:occupied])
 	ids := make([]WeightID, len(pairs))
 	for _, p := range pairs {
 		r := f.rankOf(p >> 32)
-		ids[offs[r]] = WeightID(p)
-		offs[r]++
+		ids[next[r]] = WeightID(p)
+		next[r]++
 	}
-	copy(offs[1:], offs[:occupied])
-	offs[0] = 0
-	n := uint32(0)
-	for r := uint32(0); r < occupied; r++ {
-		lo, hi := offs[r], offs[r+1]
+	n, lo := uint32(0), uint32(0)
+	for r := uint32(1); r <= occupied; r++ {
+		row := slices.Compact(ids[lo:offs[r]])
+		lo = offs[r]
+		n += uint32(copy(ids[n:], row))
 		offs[r] = n
-		for _, id := range ids[lo:hi] {
-			if n == offs[r] || ids[n-1] != id {
-				ids[n] = id
-				n++
-			}
-		}
 	}
-	offs[occupied] = n
 	f.offs, f.ids = offs, ids[:n:n]
 }
 
@@ -324,7 +320,7 @@ func FromParts(p Params, length int, words []uint64, bitIdx []uint64, offs []uin
 	if set := f.indexRank(); set != uint32(len(bitIdx)) {
 		return nil, fmt.Errorf("%w: %d set bits but %d slot lists", ErrCorruptFilter, set, len(bitIdx))
 	}
-	if offs[0] != 0 || offs[len(bitIdx)] != uint32(len(ids)) {
+	if offs[0] != 0 || uint64(offs[len(bitIdx)]) != uint64(len(ids)) {
 		return nil, fmt.Errorf("%w: pointer-list offsets span [%d,%d), want [0,%d)", ErrCorruptFilter, offs[0], offs[len(bitIdx)], len(ids))
 	}
 	for i, idx := range bitIdx {

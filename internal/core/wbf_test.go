@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"dimatch/internal/pattern"
@@ -231,6 +232,21 @@ func TestFromPartsRejectsCorruption(t *testing.T) {
 				t.Fatalf("err = %v, want ErrCorruptFilter", err)
 			}
 		})
+	}
+}
+
+// TestFromPartsRejects2To32Bits covers the largest filter a 32-bit set-bit
+// count cannot describe: with all 2^32 bits set the count wraps to 0, so
+// an all-ones array with no slot lists would look consistent and the
+// first probe would index past offs. The parameters are rejected before
+// the words are read, so the test needs no 512 MiB array; it checks the
+// error names the bit count, not the missing words.
+func TestFromPartsRejects2To32Bits(t *testing.T) {
+	p := testParams()
+	p.Bits = 1 << 32
+	_, err := FromParts(p, 12, nil, nil, []uint32{0}, nil, nil, 0)
+	if !errors.Is(err, ErrCorruptFilter) || !strings.Contains(err.Error(), "Params.Bits") {
+		t.Fatalf("err = %v, want ErrCorruptFilter for Params.Bits", err)
 	}
 }
 

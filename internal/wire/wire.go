@@ -505,11 +505,6 @@ func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
-		// One-byte values — most deltas and counts — skip the general loop.
-		r.off++
-		return uint64(r.buf[r.off-1])
-	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.fail(errShortBuffer)
