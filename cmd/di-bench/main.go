@@ -24,8 +24,8 @@
 // selects which strategy the resilience experiment degrades (naive, bf or
 // wbf).
 //
-// -run batch measures the batched search pipeline against the unbatched
-// legacy pipeline over TCP loopback and, with -batch-out, records the
+// -run batch measures the batched search pipeline against unbatched rounds
+// of one query each over TCP loopback and, with -batch-out, records the
 // result as the repository's perf baseline (BENCH_batch.json).
 // -batch-check validates a previously recorded baseline file and exits
 // non-zero if it is empty or malformed — the CI gate.

@@ -42,7 +42,7 @@ func ExampleCluster_Search() {
 
 // ExampleCluster_Search_options overrides the cluster defaults for one
 // call: keep only the best answer, verify it exactly against fetched
-// patterns, and run the legacy unbatched pipeline for comparison.
+// patterns, and run rounds of one query each for comparison.
 func ExampleCluster_Search_options() {
 	c, err := dimatch.NewCluster(dimatch.Options{}, exampleData())
 	if err != nil {
@@ -54,7 +54,7 @@ func ExampleCluster_Search_options() {
 	out, err := c.Search(context.Background(), []dimatch.Query{q},
 		dimatch.WithTopK(1),
 		dimatch.WithVerify(true),
-		dimatch.WithBatching(1), // legacy per-query frames; results identical
+		dimatch.WithBatching(1), // one round per query; results identical
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -65,7 +65,7 @@ func ExampleCluster_Search_options() {
 	fmt.Printf("batched rounds used: %d\n", out.Cost.Batches)
 	// Output:
 	// person 10 verified at 1.0
-	// batched rounds used: 0
+	// batched rounds used: 1
 }
 
 // ExampleCluster_Search_routing shows summary routing pruning fan-out: the
@@ -135,7 +135,7 @@ func ExampleWithRouting() {
 
 // ExampleCluster_Search_hierarchical delegates a search through region
 // coordinators: each region is a full cluster over its own stations,
-// served to the root like one big station (ServeRegion, wire v6). The
+// served to the root like one big station (ServeRegion). The
 // root merges the regions' raw partials and ranks globally, so results
 // are identical to a flat fan-out — docs/ROUTING.md carries the design.
 func ExampleCluster_Search_hierarchical() {

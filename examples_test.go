@@ -181,8 +181,8 @@ func TestReadmeStrategyTable(t *testing.T) {
 
 // TestReadmeBatchingClaims backs the "Batched searches" section: default
 // batching packs a multi-query search into one exchange per station,
-// WithBatching(1) reproduces the legacy per-query traffic, and results are
-// identical either way.
+// WithBatching(1) runs one round and one frame per query per station, and
+// results are identical either way.
 func TestReadmeBatchingClaims(t *testing.T) {
 	data := map[uint32]map[dimatch.PersonID]dimatch.Pattern{
 		0: {10: {1, 2, 3}},
@@ -212,7 +212,7 @@ func TestReadmeBatchingClaims(t *testing.T) {
 		t.Fatalf("batched: %d msgs down, %d rounds; want one exchange per station",
 			batched.Cost.MessagesDown, batched.Cost.Batches)
 	}
-	if legacy.Cost.MessagesDown != 6 || legacy.Cost.Batches != 0 {
+	if legacy.Cost.MessagesDown != 6 || legacy.Cost.Batches != 3 {
 		t.Fatalf("legacy: %d msgs down, %d rounds; want one frame per query per station",
 			legacy.Cost.MessagesDown, legacy.Cost.Batches)
 	}
@@ -301,7 +301,7 @@ func TestReadmeHierarchySnippet(t *testing.T) {
 		11: {500, 600, 700},
 	}, dimatch.WithReplication(2))
 
-	// The round is delegated over wire v6: each region runs the WBF
+	// The round is delegated to the regions: each region runs the WBF
 	// pipeline on its own stations, the root merges, ranks and verifies
 	// the raw partials — results byte-identical to a flat fan-out.
 	out, _ := root.Search(ctx, []dimatch.Query{

@@ -2,8 +2,9 @@
 //
 // The scenarios compare the batched search pipeline (all queries of a
 // search packed into one KindBatchQuery exchange per station, matched in a
-// single pooled walk over each station's residents) against the unbatched
-// legacy pipeline (one filter and one KindWBFQuery frame per query) over a
+// single pooled walk over each station's residents) against unbatched
+// rounds of one query each (WithBatching(1): one filter and one
+// KindBatchQuery frame per query per station) over a
 // real TCP loopback deployment — the same transport a distributed
 // deployment uses, so framing, syscalls and round trips are all real.
 // RunBatchBench emits a typed report that WriteBatchBenchJSON serializes as
@@ -67,8 +68,8 @@ type BatchScenario struct {
 	Stations  int    `json:"stations"`
 	Queries   int    `json:"queries"`
 	// Mode is "batched" (one KindBatchQuery exchange per station per
-	// search) or "unbatched" (one KindWBFQuery exchange per query per
-	// station — the legacy pipeline, WithBatching(1)).
+	// search) or "unbatched" (rounds of one query, WithBatching(1): one
+	// KindBatchQuery exchange per query per station).
 	Mode        string `json:"mode"`
 	Repetitions int    `json:"repetitions"`
 	// ThroughputQPS is queries answered per second of search wall-clock.
@@ -183,7 +184,7 @@ func runBatchScenario(ctx context.Context, c *cluster.Cluster, queries []core.Qu
 		batchSize = 1
 	}
 	opts := []cluster.SearchOption{cluster.WithBatching(batchSize), cluster.WithRouting(cluster.RoutingFull)}
-	// Warm-up: fills the epoch's stats/version cache and the TCP buffers.
+	// Warm-up: fills the epoch's stats cache and the TCP buffers.
 	if _, err := c.Search(ctx, queries, opts...); err != nil {
 		return BatchScenario{}, err
 	}
@@ -294,7 +295,7 @@ func WriteBatchBenchJSON(w io.Writer, r *BatchReport) error {
 // (messages-per-query ratio ≥ 2). The ratio bound is protocol-determined
 // — an n-query round is n frames per station unbatched vs one batched — so
 // it is deterministic across machines, unlike throughput; a change that
-// silently routes every search down the per-query path fails here. CI runs
+// silently splits every search into rounds of one query fails here. CI runs
 // this against both the freshly generated artifact and the committed
 // BENCH_batch.json.
 func CheckBatchBenchJSON(r io.Reader) error {

@@ -303,7 +303,7 @@ func (h *hierCluster) maxCoordinatorState() uint64 {
 // cell IS the reference).
 func runHierarchyScenario(ctx context.Context, h *hierCluster, cfg HierarchyConfig, topology string, mode cluster.RoutingMode, queries []core.Query, targets []core.PersonID, reference *cluster.Outcome) (HierarchyScenario, *cluster.Outcome, error) {
 	opts := []cluster.SearchOption{cluster.WithRouting(mode)}
-	// Warm-up fills stats/version caches and — for routed modes — every
+	// Warm-up fills stats caches and — for routed modes — every
 	// tier's digest cache, so the measured repetitions are steady state.
 	if _, err := h.search.Search(ctx, queries, opts...); err != nil {
 		return HierarchyScenario{}, nil, err

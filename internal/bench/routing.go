@@ -269,7 +269,7 @@ func runRoutingScenario(ctx context.Context, c *cluster.Cluster, cfg RoutingConf
 	if mode == "full" {
 		opts = append(opts, cluster.WithRouting(cluster.RoutingFull))
 	}
-	// Warm-up: fills the epoch's stats/version cache, the TCP buffers and —
+	// Warm-up: fills the epoch's stats cache, the TCP buffers and —
 	// in routed mode — the coordinator's summary cache; its refresh bytes
 	// are the recorded one-time cost.
 	warm, err := c.Search(ctx, queries, opts...)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dimatch/internal/adapt"
@@ -307,23 +306,26 @@ func TestResetParams(t *testing.T) {
 	}
 }
 
-// TestRederiveParamsSkipsIncapablePeers pins the capability gate: a pre-v7
-// station never receives a KindParamUpdate frame (it would kill its serve
-// loop), and a route delegate adapts its own tier instead of taking a leaf
-// plan from above.
+// TestRederiveParamsSkipsIncapablePeers pins the delegate gate: a route
+// delegate adapts its own tier instead of taking a leaf plan from above.
 func TestRederiveParamsSkipsIncapablePeers(t *testing.T) {
 	modernCenter, modernStation := transport.Pipe(nil, nil)
-	oldCenter, oldStation := transport.Pipe(nil, nil)
-	// The modern station needs enough residents for its static budget to
-	// cover the plan (see paramTestCluster); the v4 one's size is irrelevant.
+	plainCenter, plainStation := transport.Pipe(nil, nil)
+	// The stations need enough residents for their static budgets to cover
+	// the plan (see paramTestCluster), and two of them so searches route
+	// and feed the traffic profile.
 	modernLocals := map[core.PersonID]pattern.Pattern{
 		10: {1, 2, 3}, 11: {2, 3, 4}, 12: {3, 4, 5}, 13: {4, 5, 6}, 14: {5, 6, 7},
+	}
+	plainLocals := map[core.PersonID]pattern.Pattern{
+		20: {50, 60, 70}, 21: {51, 61, 71}, 22: {52, 62, 72}, 23: {53, 63, 73}, 24: {54, 64, 74},
 	}
 	go func() {
 		_ = NewStation(1, modernLocals, modernStation).Serve()
 	}()
-	var sawSummary atomic.Bool
-	go servePreRoutingStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}}, oldStation, &sawSummary)
+	go func() {
+		_ = NewStation(2, plainLocals, plainStation).Serve()
+	}()
 
 	// A region coordinator hangs off the same center: its stats advertise
 	// the delegate flag, which must exempt it from leaf-plan rollouts.
@@ -340,7 +342,7 @@ func TestRederiveParamsSkipsIncapablePeers(t *testing.T) {
 	go func() { _ = ServeRegion(100, inner, regionEnd) }()
 
 	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{
-		1: modernCenter, 2: oldCenter, 100: regionCenter,
+		1: modernCenter, 2: plainCenter, 100: regionCenter,
 	}, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -357,14 +359,14 @@ func TestRederiveParamsSkipsIncapablePeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(roll.Applied) != 1 || roll.Applied[0] != 1 {
-		t.Fatalf("Applied = %v, want [1]", roll.Applied)
+	if len(roll.Applied) != 2 || roll.Applied[0] != 1 || roll.Applied[1] != 2 {
+		t.Fatalf("Applied = %v, want [1 2]", roll.Applied)
 	}
-	if len(roll.Skipped) != 2 || roll.Skipped[0] != 2 || roll.Skipped[1] != 100 {
-		t.Fatalf("Skipped = %v, want [2 100] (pre-v7 station and region delegate)", roll.Skipped)
+	if len(roll.Skipped) != 1 || roll.Skipped[0] != 100 {
+		t.Fatalf("Skipped = %v, want [100] (the region delegate)", roll.Skipped)
 	}
 
-	// All three peer classes keep answering together after the rollout.
+	// Both peer classes keep answering together after the rollout.
 	out, err := c.Search(ctx, queries)
 	if err != nil {
 		t.Fatal(err)

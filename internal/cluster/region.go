@@ -16,18 +16,18 @@ import (
 // coordinator that owns a subtree of stations and answers a parent
 // coordinator over a single link. To the parent it looks like one very large
 // station — it aggregates stats, serves the union routing digest of its
-// subtree, and accepts every classic station kind by forwarding it to its
-// own members and merging the replies — plus, for v6 parents, the delegated
-// search round: a KindRouteQuery runs the full existing WBF search path over
+// subtree, and accepts every station kind by forwarding it to its own
+// members and merging the replies — plus the delegated search round: a
+// KindRouteQuery runs the full existing WBF search path over
 // the region's stations and answers raw per-person partial sums
 // (KindRouteReply), leaving ranking, thresholding and verification to the
 // root. That division is what makes a multi-tier topology's results provably
 // identical to a flat fan-out (docs/ROUTING.md).
 //
-// The region advertises wire.FlagRouteDelegate in its stats replies; the
-// capability flag — not the wire version — is what tells a parent it may
-// delegate. Because every classic kind is also served, a pre-v6 parent can
-// use a region as an ordinary (big) station and still get exact results.
+// The region advertises wire.FlagRouteDelegate in its stats replies, which
+// is what tells a parent it may delegate. Because every station kind is
+// also served, a parent that does not delegate can use a region as an
+// ordinary (big) station and still get exact results.
 type Region struct {
 	id   uint32
 	c    *Cluster
@@ -70,8 +70,6 @@ func (r *Region) Serve() error {
 			reply, err = r.handleRoute(ctx, msg)
 		case wire.KindBatchQuery:
 			reply, err = r.handleBatchForward(ctx, msg)
-		case wire.KindWBFQuery:
-			reply, err = r.handleWBFForward(ctx, msg)
 		case wire.KindBFQuery:
 			reply, err = r.handleBFForward(ctx, msg)
 		case wire.KindShipAll, wire.KindFetch:
@@ -209,23 +207,6 @@ func (r *Region) handleBatchForward(ctx context.Context, msg wire.Message) (*wir
 		Queries: uint32(len(bq.Queries)),
 		Reports: reports,
 	})
-	return &reply, nil
-}
-
-// handleWBFForward forwards a legacy per-query frame, concatenating reports.
-func (r *Region) handleWBFForward(ctx context.Context, msg wire.Message) (*wire.Message, error) {
-	var reports []core.Report
-	if err := r.forward(ctx, msg, func(reply wire.Message) error {
-		rs, err := wire.DecodeReports(reply)
-		if err != nil {
-			return err
-		}
-		reports = append(reports, rs.Reports...)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	reply := wire.EncodeReports(wire.Reports{Station: r.id, Reports: reports})
 	return &reply, nil
 }
 
@@ -384,7 +365,7 @@ func (r *Region) forward(ctx context.Context, msg wire.Message, handle func(repl
 	fwd := wire.Message{Kind: msg.Kind, Payload: msg.Payload}
 	var scratch CostReport
 	ep := r.c.currentEpoch()
-	_, err := r.c.fanOut(ctx, ep, fwd, &scratch, handle)
+	_, err := r.c.fanOut(ctx, ep, fwd, &scratch, func(_ int, reply wire.Message) error { return handle(reply) })
 	if err != nil {
 		return fmt.Errorf("region %d: %w", r.id, err)
 	}
@@ -467,7 +448,7 @@ func (c *Cluster) routingDigest(ctx context.Context) *index.Summary {
 	var locals []pattern.Pattern
 	foreign := false
 	var scratch CostReport
-	failed, err := c.fanOut(ctx, ep, wire.EncodeDump(wire.Dump{}), &scratch, func(reply wire.Message) error {
+	failed, err := c.fanOut(ctx, ep, wire.EncodeDump(wire.Dump{}), &scratch, func(_ int, reply wire.Message) error {
 		data, derr := wire.DecodeDumpReply(reply)
 		if derr != nil {
 			return derr
@@ -491,7 +472,7 @@ func (c *Cluster) routingDigest(ctx context.Context) *index.Summary {
 		}
 		return nil
 	})
-	if err != nil || failed > 0 || foreign {
+	if err != nil || len(failed) > 0 || foreign {
 		// A member that cannot be dumped — or one holding patterns of a
 		// foreign length — makes the subtree unsummarizable: saturate rather
 		// than under-report.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"dimatch/internal/core"
@@ -256,97 +255,6 @@ func TestRoutedChurnNeverLosesRecall(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameResults(t, fmt.Sprintf("step %d", step), queries, full, routed)
-	}
-}
-
-// servePreRoutingStation emulates a wire-v4 station: it answers stats
-// (advertising MaxVersion 4) and per-query/batch frames, but a KindSummary
-// frame is recorded as a protocol violation and kills the link, exactly as
-// an old binary would fail on an unknown kind.
-func servePreRoutingStation(id uint32, locals map[core.PersonID]pattern.Pattern, link transport.Link, sawSummary *atomic.Bool) {
-	st := NewStation(id, locals, link)
-	for {
-		msg, err := link.Recv()
-		if err != nil {
-			return
-		}
-		var reply *wire.Message
-		switch msg.Kind {
-		case wire.KindStats:
-			length := 0
-			if len(st.locals) > 0 {
-				length = len(st.locals[0])
-			}
-			r := wire.EncodeStatsReply(wire.StatsReply{
-				Station:      id,
-				Residents:    uint64(len(st.persons)),
-				StorageBytes: st.StorageBytes(),
-				Length:       uint32(length),
-				MaxVersion:   wire.Version4,
-			})
-			reply = &r
-		case wire.KindBatchQuery:
-			reply, err = st.handleBatch(msg)
-		case wire.KindWBFQuery:
-			reply, err = st.handleWBF(msg)
-		case wire.KindSummary:
-			sawSummary.Store(true)
-			return
-		case wire.KindShutdown:
-			return
-		default:
-			return
-		}
-		if err != nil {
-			return
-		}
-		if err := link.Send(reply.WithRequest(msg.Request)); err != nil {
-			return
-		}
-	}
-}
-
-// TestPreV5StationIsNeverPruned is the negotiation pin: a station that
-// advertised wire v4 receives no summary frame and is visited by every
-// routed search, while its v5 neighbours still get pruned.
-func TestPreV5StationIsNeverPruned(t *testing.T) {
-	modernCenter, modernStation := transport.Pipe(nil, nil)
-	oldCenter, oldStation := transport.Pipe(nil, nil)
-	go func() {
-		_ = NewStation(1, map[core.PersonID]pattern.Pattern{10: {1, 2, 3}}, modernStation).Serve()
-	}()
-	var sawSummary atomic.Bool
-	go servePreRoutingStation(2, map[core.PersonID]pattern.Pattern{20: {50, 60, 70}}, oldStation, &sawSummary)
-
-	c, err := NewWithLinks(Options{}, map[uint32]transport.Link{1: modernCenter, 2: oldCenter}, 3, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	ctx := context.Background()
-
-	// The query matches nothing on either station; the v5 station is
-	// pruned, the v4 one must still be visited.
-	out, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{{900, 900, 900}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sawSummary.Load() {
-		t.Fatal("v4 station received a summary frame")
-	}
-	if out.Cost.StationsPruned != 1 {
-		t.Fatalf("StationsPruned = %d, want 1 (only the v5 station is prunable)", out.Cost.StationsPruned)
-	}
-	if out.Cost.StationsFailed != 0 {
-		t.Fatalf("StationsFailed = %d", out.Cost.StationsFailed)
-	}
-	// And the v4 station's matches are still found end to end.
-	hit, err := c.Search(ctx, []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hit.PerQuery[1]) != 1 || hit.PerQuery[1][0].Person != 20 {
-		t.Fatalf("v4 station's match lost under routing: %v", hit.PerQuery[1])
 	}
 }
 

@@ -97,10 +97,10 @@ func TestMatchResidentsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestAggregatorAddFromMergesTables models the mixed-version search: the
-// same person is reported once via a combined (batch) table and once via a
-// per-query (legacy) table; the accumulation must equal two reports through
-// a single table.
+// TestAggregatorAddFromMergesTables models a search split into rounds: the
+// same person is reported once via a combined (multi-query) table and once
+// via a one-query table; the accumulation must equal two reports through a
+// single table.
 func TestAggregatorAddFromMergesTables(t *testing.T) {
 	q := Query{ID: 3, Locals: []pattern.Pattern{{1, 2, 3, 4}, {2, 0, 1, 1}}}
 	other := Query{ID: 9, Locals: []pattern.Pattern{{4, 4, 4, 4}}}

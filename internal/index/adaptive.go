@@ -12,9 +12,9 @@
 // insert/query frequency distribution.
 //
 // A Plan is the adaptive parameter table the coordinator derives from its
-// traffic profile (internal/adapt) and ships to stations over wire v7: per
-// position group g a bit-budget weight, a hash count k_g, and a value
-// quantum q_g. A station partitions its *existing* memory budget — the same
+// traffic profile (internal/adapt) and ships to stations in a
+// KindParamUpdate frame: per position group g a bit-budget weight, a hash
+// count k_g, and a value quantum q_g. A station partitions its *existing* memory budget — the same
 // total bit count the static summary would use — into per-group regions by
 // the plan's weights, hashes each group with its own k_g, and inserts cells
 // at quantized resolution floor(v/q_g). Probes quantize their band the same

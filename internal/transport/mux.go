@@ -122,9 +122,7 @@ func (m *Mux) Roundtrip(ctx context.Context, msg wire.Message) (wire.Message, er
 // RoundtripMany pipelines several exchanges: every request is stamped with
 // its own ID and sent back-to-back without waiting for replies, then all
 // replies are collected. Over a real network this costs one round-trip of
-// latency instead of len(msgs), which is what keeps the per-query fallback
-// path (stations that cannot accept batch frames) from serializing a whole
-// search on RTTs. Replies are returned in request order regardless of
+// latency instead of len(msgs). Replies are returned in request order regardless of
 // arrival order. On any failure — send error, link failure, cancellation —
 // every exchange of the call is abandoned and the first error returned.
 func (m *Mux) RoundtripMany(ctx context.Context, msgs []wire.Message) ([]wire.Message, error) {

@@ -28,7 +28,7 @@ func echoStation(t *testing.T, link Link, release <-chan struct{}) {
 		if bytes.Equal(msg.Payload, []byte("hold")) && release != nil {
 			<-release
 		}
-		reply := wire.Message{Kind: wire.KindReports, Request: msg.Request, Payload: msg.Payload}
+		reply := wire.Message{Kind: wire.KindBatchReply, Request: msg.Request, Payload: msg.Payload}
 		if err := link.Send(reply); err != nil {
 			return
 		}

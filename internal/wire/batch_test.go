@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/rand"
@@ -12,49 +11,30 @@ import (
 	"dimatch/internal/pattern"
 )
 
-// TestFrameVersionStamping pins the negotiation contract: batch kinds travel
-// in version-3 frames, everything else stays at version 2 so pre-batch peers
-// keep decoding it.
+// TestFrameVersionStamping pins the one-version contract: every kind is
+// stamped Version, and the same frame under any other version byte is
+// rejected with ErrBadVersion by both decoders.
 func TestFrameVersionStamping(t *testing.T) {
-	legacy := Message{Kind: KindReports, Payload: []byte{1}}
-	if got := legacy.Encode()[2]; got != Version2 {
-		t.Fatalf("legacy kind stamped version %d, want %d", got, Version2)
-	}
-	batch := Message{Kind: KindBatchQuery, Payload: []byte{1}}
-	if got := batch.Encode()[2]; got != Version3 {
-		t.Fatalf("batch kind stamped version %d, want %d", got, Version3)
-	}
-	// An explicit downgrade request on a batch kind is overridden: the codec
-	// never emits a frame an old peer would misparse as a known kind.
-	batch.Version = Version2
-	if got := batch.Encode()[2]; got != Version3 {
-		t.Fatalf("batch kind downgraded to version %d", got)
-	}
-	// Decoding records the frame version.
-	got, err := Decode(legacy.Encode())
-	if err != nil || got.Version != Version2 {
-		t.Fatalf("decoded version %d (%v), want %d", got.Version, err, Version2)
-	}
-	got, err = Decode(Message{Kind: KindBatchReply}.Encode())
-	if err != nil || got.Version != Version3 {
-		t.Fatalf("decoded version %d (%v), want %d", got.Version, err, Version3)
-	}
-}
-
-// TestBatchKindRejectedInOldFrames: a batch kind smuggled into a version-1
-// or version-2 frame is as unknown as any garbage kind.
-func TestBatchKindRejectedInOldFrames(t *testing.T) {
-	b := Message{Kind: KindBatchQuery, Payload: []byte{1, 2}}.Encode()
-	b[2] = Version2
-	if _, err := Decode(b); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("v2 frame with batch kind: err = %v, want ErrBadKind", err)
-	}
-	v1 := make([]byte, headerSizeV1)
-	binary.LittleEndian.PutUint16(v1[0:2], magic)
-	v1[2] = Version1
-	v1[3] = uint8(KindBatchReply)
-	if _, err := Decode(v1); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("v1 frame with batch kind: err = %v, want ErrBadKind", err)
+	for k := Kind(1); k <= maxKind; k++ {
+		frame := Message{Kind: k, Request: 3, Payload: []byte{1}}.Encode()
+		if frame[2] != Version {
+			t.Fatalf("kind %v stamped version %d, want %d", k, frame[2], Version)
+		}
+		if _, err := Decode(frame); err != nil {
+			t.Fatalf("kind %v: %v", k, err)
+		}
+		for v := 0; v < 256; v++ {
+			if uint8(v) == Version {
+				continue
+			}
+			frame[2] = uint8(v)
+			if _, err := Decode(frame); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("kind %v in version-%d frame: err = %v, want ErrBadVersion", k, v, err)
+			}
+			if _, err := ReadMessage(bytes.NewReader(frame)); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("kind %v in version-%d stream: err = %v, want ErrBadVersion", k, v, err)
+			}
+		}
 	}
 }
 
@@ -66,9 +46,6 @@ func TestBatchQueryRoundTrip(t *testing.T) {
 	}
 	if m.Kind != KindBatchQuery {
 		t.Fatalf("kind = %v", m.Kind)
-	}
-	if m.Encode()[2] != Version3 {
-		t.Fatalf("batch query frame version = %d", m.Encode()[2])
 	}
 	got, err := DecodeBatchQuery(m)
 	if err != nil {
@@ -116,7 +93,7 @@ func TestBatchQueryDecodeCorrupt(t *testing.T) {
 	}
 
 	t.Run("wrong kind", func(t *testing.T) {
-		if _, err := DecodeBatchQuery(Message{Kind: KindReports}); err == nil {
+		if _, err := DecodeBatchQuery(Message{Kind: KindBatchReply}); err == nil {
 			t.Fatal("wrong kind accepted")
 		}
 	})
@@ -188,8 +165,8 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 		},
 	}
 	m := EncodeBatchReply(in)
-	if m.Kind != KindBatchReply || m.Encode()[2] != Version3 {
-		t.Fatalf("frame: kind %v version %d", m.Kind, m.Encode()[2])
+	if m.Kind != KindBatchReply {
+		t.Fatalf("frame: kind %v", m.Kind)
 	}
 	got, err := DecodeBatchReply(m)
 	if err != nil {
@@ -206,37 +183,6 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeBatchReply(Message{Kind: KindBatchReply, Payload: []byte{0x80}}); err == nil {
 		t.Fatal("truncated payload accepted")
-	}
-}
-
-// TestStatsReplyMaxVersion pins the capability handshake: modern replies
-// advertise LatestVersion, and a legacy payload that ends after Length reads
-// back as a Version2 peer.
-func TestStatsReplyMaxVersion(t *testing.T) {
-	m := EncodeStatsReply(StatsReply{Station: 9, Residents: 4, StorageBytes: 96, Length: 3})
-	got, err := DecodeStatsReply(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxVersion != LatestVersion {
-		t.Fatalf("MaxVersion = %d, want %d", got.MaxVersion, LatestVersion)
-	}
-
-	// A pre-batch peer's payload: four uvarints, no capability byte.
-	var legacy []byte
-	legacy = binary.AppendUvarint(legacy, 9)  // station
-	legacy = binary.AppendUvarint(legacy, 4)  // residents
-	legacy = binary.AppendUvarint(legacy, 96) // storage bytes
-	legacy = binary.AppendUvarint(legacy, 3)  // length
-	got, err = DecodeStatsReply(Message{Kind: KindStatsReply, Payload: legacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxVersion != Version2 {
-		t.Fatalf("legacy MaxVersion = %d, want %d", got.MaxVersion, Version2)
-	}
-	if got.Station != 9 || got.Residents != 4 || got.StorageBytes != 96 || got.Length != 3 {
-		t.Fatalf("legacy fields lost: %+v", got)
 	}
 }
 

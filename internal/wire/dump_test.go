@@ -1,52 +1,11 @@
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"testing"
 
 	"dimatch/internal/core"
 	"dimatch/internal/pattern"
 )
-
-// TestDumpVersionStamping pins the v4 negotiation contract: dump kinds travel
-// in version-4 frames and nothing below.
-func TestDumpVersionStamping(t *testing.T) {
-	d := EncodeDump(Dump{Persons: []core.PersonID{1}})
-	if got := d.Encode()[2]; got != Version4 {
-		t.Fatalf("dump kind stamped version %d, want %d", got, Version4)
-	}
-	// An explicit downgrade request on a dump kind is overridden: the codec
-	// never emits a frame an old peer would misparse as a known kind.
-	d.Version = Version3
-	if got := d.Encode()[2]; got != Version4 {
-		t.Fatalf("dump kind downgraded to version %d", got)
-	}
-	got, err := Decode(d.Encode())
-	if err != nil || got.Version != Version4 {
-		t.Fatalf("decoded version %d (%v), want %d", got.Version, err, Version4)
-	}
-}
-
-// TestDumpKindRejectedInOldFrames: a dump kind smuggled into a pre-v4 frame
-// is as unknown as any garbage kind — including in a version-3 frame, which
-// does know the batch kinds.
-func TestDumpKindRejectedInOldFrames(t *testing.T) {
-	for _, v := range []uint8{Version2, Version3} {
-		b := EncodeDump(Dump{}).Encode()
-		b[2] = v
-		if _, err := Decode(b); !errors.Is(err, ErrBadKind) {
-			t.Fatalf("v%d frame with dump kind: err = %v, want ErrBadKind", v, err)
-		}
-	}
-	v1 := make([]byte, headerSizeV1)
-	binary.LittleEndian.PutUint16(v1[0:2], magic)
-	v1[2] = Version1
-	v1[3] = uint8(KindDumpReply)
-	if _, err := Decode(v1); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("v1 frame with dump kind: err = %v, want ErrBadKind", err)
-	}
-}
 
 func TestDumpRoundTrip(t *testing.T) {
 	in := Dump{Persons: []core.PersonID{90, 4, 17}}

@@ -25,9 +25,9 @@ func workedParamPlan() *index.Plan {
 	}
 }
 
-// TestWorkedParamUpdateHex pins the worked v7 frame from docs/WIRE.md to the
-// live encoder, byte for byte: if the encoding changes shape, the doc and
-// this pin fail together.
+// TestWorkedParamUpdateHex pins the worked parameter frame from
+// docs/WIRE.md to the live encoder, byte for byte: if the encoding changes
+// shape, the doc and this pin fail together.
 func TestWorkedParamUpdateHex(t *testing.T) {
 	m, err := EncodeParamUpdate(ParamUpdate{Epoch: 2, Plan: workedParamPlan()})
 	if err != nil {
@@ -64,29 +64,6 @@ func TestParamUpdateRoundtrip(t *testing.T) {
 	}
 	if rev.Epoch != 9 || rev.Plan != nil {
 		t.Fatalf("revert roundtrip changed the update: %+v", rev)
-	}
-}
-
-// TestParamUpdateVersionGating pins the frame to wire v7: the encoder stamps
-// Version7, and a peer replaying the same kind under an older version header
-// must be rejected by the floor table.
-func TestParamUpdateVersionGating(t *testing.T) {
-	m, err := EncodeParamUpdate(ParamUpdate{Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := m.Encode()
-	if frame[2] != Version7 {
-		t.Fatalf("param-update stamped version %d, want %d", frame[2], Version7)
-	}
-	old := append([]byte(nil), frame...)
-	old[2] = Version6
-	if _, err := Decode(old); err == nil {
-		t.Fatal("param-update accepted under a v6 header")
-	}
-	ack := EncodeParamAck(ParamAck{Station: 1, Epoch: 1, Applied: true}).Encode()
-	if ack[2] != Version7 {
-		t.Fatalf("param-ack stamped version %d, want %d", ack[2], Version7)
 	}
 }
 

@@ -35,16 +35,28 @@ func buildFilter(t *testing.T) *core.Filter {
 	return enc.Filter()
 }
 
-func TestWBFQueryRoundTrip(t *testing.T) {
+// buildWBFQuery wraps buildFilter's filter in the one WBF query frame,
+// declaring the two query IDs it encodes.
+func buildWBFQuery(t *testing.T) (*core.Filter, Message) {
+	t.Helper()
 	f := buildFilter(t)
-	m := EncodeWBFQuery(f)
-	if m.Kind != KindWBFQuery {
-		t.Fatalf("kind = %v", m.Kind)
-	}
-	got, err := DecodeWBFQuery(m)
+	m, err := EncodeBatchQuery(BatchQuery{Queries: []core.QueryID{1, 7}, Filter: f})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f, m
+}
+
+func TestWBFQueryRoundTrip(t *testing.T) {
+	f, m := buildWBFQuery(t)
+	if m.Kind != KindBatchQuery {
+		t.Fatalf("kind = %v", m.Kind)
+	}
+	b, err := DecodeBatchQuery(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.Filter
 	if got.Params() != f.Params() {
 		t.Fatalf("params: %+v vs %+v", got.Params(), f.Params())
 	}
@@ -78,16 +90,16 @@ func TestWBFQueryRoundTrip(t *testing.T) {
 }
 
 func TestWBFQueryDecodeWrongKind(t *testing.T) {
-	if _, err := DecodeWBFQuery(Message{Kind: KindShipAll}); err == nil {
+	if _, err := DecodeBatchQuery(Message{Kind: KindShipAll}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }
 
 func TestWBFQueryDecodeCorrupt(t *testing.T) {
-	m := EncodeWBFQuery(buildFilter(t))
+	_, m := buildWBFQuery(t)
 	for cut := 0; cut < len(m.Payload); cut += 7 {
-		trunc := Message{Kind: KindWBFQuery, Payload: m.Payload[:cut]}
-		if _, err := DecodeWBFQuery(trunc); err == nil {
+		trunc := Message{Kind: KindBatchQuery, Payload: m.Payload[:cut]}
+		if _, err := DecodeBatchQuery(trunc); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -118,21 +130,25 @@ func TestBFQueryRoundTrip(t *testing.T) {
 			t.Fatalf("verdict diverged for %d", v)
 		}
 	}
-	if _, err := DecodeBFQuery(Message{Kind: KindReports}); err == nil {
+	if _, err := DecodeBFQuery(Message{Kind: KindBFMatches}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }
 
+// TestReportsRoundTrip round-trips a station's (person, weight-pointer)
+// reports through the batch reply, including a 41-bit person ID and a
+// report with no pointers.
 func TestReportsRoundTrip(t *testing.T) {
-	in := Reports{
+	in := BatchReply{
 		Station: 42,
+		Queries: 1,
 		Reports: []core.Report{
 			{Person: 1, WeightIDs: []core.WeightID{0, 5, 9}},
 			{Person: 1 << 40, WeightIDs: []core.WeightID{3}},
 			{Person: 7, WeightIDs: nil},
 		},
 	}
-	got, err := DecodeReports(EncodeReports(in))
+	got, err := DecodeBatchReply(EncodeBatchReply(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +165,7 @@ func TestReportsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DecodeReports(Message{Kind: KindShipAll}); err == nil {
+	if _, err := DecodeBatchReply(Message{Kind: KindShipAll}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 }
@@ -206,15 +222,15 @@ func TestNaiveDataRoundTrip(t *testing.T) {
 func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 	// Stations decode filters from the network; arbitrary corruption must
 	// surface as errors, never panics or runaway allocations.
-	base := EncodeWBFQuery(buildFilter(t))
+	_, base := buildWBFQuery(t)
 	decoders := []func(Message) error{
-		func(m Message) error { _, err := DecodeWBFQuery(m); return err },
+		func(m Message) error { _, err := DecodeBatchQuery(m); return err },
 		func(m Message) error {
 			_, err := DecodeBFQuery(Message{Kind: KindBFQuery, Payload: m.Payload})
 			return err
 		},
 		func(m Message) error {
-			_, err := DecodeReports(Message{Kind: KindReports, Payload: m.Payload})
+			_, err := DecodeBatchReply(Message{Kind: KindBatchReply, Payload: m.Payload})
 			return err
 		},
 		func(m Message) error {
@@ -243,7 +259,7 @@ func TestDecodersNeverPanicOnMutatedPayloads(t *testing.T) {
 		for i := step; i < len(payload); i += 101 {
 			payload[i] ^= byte(step)
 		}
-		m := Message{Kind: KindWBFQuery, Payload: payload}
+		m := Message{Kind: KindBatchQuery, Payload: payload}
 		for di, dec := range decoders {
 			func() {
 				defer func() {
@@ -352,7 +368,7 @@ func TestEvictRoundTrip(t *testing.T) {
 }
 
 func TestStatsAckRoundTrip(t *testing.T) {
-	s := StatsReply{Station: 9, Residents: 1234, StorageBytes: 98765, Length: 8, MaxVersion: LatestVersion}
+	s := StatsReply{Station: 9, Residents: 1234, StorageBytes: 98765, Length: 8, Flags: FlagRouteDelegate}
 	gotS, err := DecodeStatsReply(EncodeStatsReply(s))
 	if err != nil || gotS != s {
 		t.Fatalf("stats reply: got %+v, %v; want %+v", gotS, err, s)
@@ -373,8 +389,7 @@ func TestStatsAckRoundTrip(t *testing.T) {
 func TestWBFQueryCompactness(t *testing.T) {
 	// The dissemination message must be far smaller than the naive shipment
 	// of even a modest station's data — the whole point of the scheme.
-	f := buildFilter(t)
-	m := EncodeWBFQuery(f)
+	_, m := buildWBFQuery(t)
 	if m.EncodedSize() > 1<<16 {
 		t.Fatalf("WBF query frame unexpectedly large: %d bytes", m.EncodedSize())
 	}

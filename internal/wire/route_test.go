@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"dimatch/internal/core"
@@ -39,7 +41,7 @@ func workedRouteReply() Message {
 	}).WithRequest(42)
 }
 
-// TestWorkedRouteHex pins the docs/WIRE.md worked v6 frames to the live
+// TestWorkedRouteHex pins the docs/WIRE.md worked route frames to the live
 // encoders, so the documentation cannot drift from the code.
 func TestWorkedRouteHex(t *testing.T) {
 	if got := hex.EncodeToString(workedRouteQuery(t).Encode()); got != workedRouteQueryHex {
@@ -68,9 +70,6 @@ func TestRouteQueryRoundtrip(t *testing.T) {
 	}
 	if m.Kind != KindRouteQuery {
 		t.Fatalf("kind = %v", m.Kind)
-	}
-	if v := m.Encode()[2]; v != Version6 {
-		t.Fatalf("route-query frame stamped v%d, want v6", v)
 	}
 	out, err := DecodeRouteQuery(Message{Kind: KindRouteQuery, Payload: m.Payload})
 	if err != nil {
@@ -118,9 +117,6 @@ func TestRouteReplyRoundtrip(t *testing.T) {
 		},
 	}
 	m := EncodeRouteReply(in)
-	if v := m.Encode()[2]; v != Version6 {
-		t.Fatalf("route-reply frame stamped v%d, want v6", v)
-	}
 	out, err := DecodeRouteReply(Message{Kind: KindRouteReply, Payload: m.Payload})
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -134,25 +130,22 @@ func TestRouteReplyRoundtrip(t *testing.T) {
 	}
 }
 
-// TestRouteKindsVersionGated pins the v6 gating: a route kind in a v5 frame
-// is as unknown as kind 200.
-func TestRouteKindsVersionGated(t *testing.T) {
-	frame := workedRouteQuery(t).Encode()
-	for _, v := range []uint8{Version2, Version3, Version4, Version5} {
-		bad := append([]byte(nil), frame...)
-		bad[2] = v
-		if _, err := Decode(bad); err != ErrBadKind {
-			t.Fatalf("route-query in v%d frame: err = %v, want ErrBadKind", v, err)
-		}
+// TestDecodeRouteQueryRejectsZeroQueries: decode rejects what encode
+// rejects. A payload declaring zero queries is ErrBatchMismatch, so a
+// decoded route query always re-encodes.
+func TestDecodeRouteQueryRejectsZeroQueries(t *testing.T) {
+	payload := append([]byte{0x00}, bytes.Repeat([]byte{0x30}, 31)...)
+	if _, err := DecodeRouteQuery(Message{Kind: KindRouteQuery, Payload: payload}); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("zero-query payload: err = %v, want ErrBatchMismatch", err)
 	}
-	if m, err := Decode(frame); err != nil || m.Version != Version6 {
-		t.Fatalf("v6 route-query rejected: %v (version %d)", err, m.Version)
+	if _, err := EncodeRouteQuery(RouteQuery{}); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("zero-query encode: err = %v, want ErrBatchMismatch", err)
 	}
 }
 
-// TestStatsReplyFlags pins the optional capability byte: absent decodes as
-// zero, nonzero survives a roundtrip, and a plain (flagless) reply encodes
-// byte-identically to the pre-v6 form.
+// TestStatsReplyFlags pins the capability byte: it is always written, so
+// plain and delegate replies have the same length, a nonzero flag survives
+// a roundtrip, and a payload without the byte is rejected.
 func TestStatsReplyFlags(t *testing.T) {
 	plain := EncodeStatsReply(StatsReply{Station: 3, Residents: 5, StorageBytes: 80, Length: 24})
 	got, err := DecodeStatsReply(plain)
@@ -162,9 +155,9 @@ func TestStatsReplyFlags(t *testing.T) {
 	if got.Flags != 0 {
 		t.Fatalf("plain reply Flags = %d, want 0", got.Flags)
 	}
-	delegate := EncodeStatsReply(StatsReply{Station: 3, Residents: 5, Length: 24, Flags: FlagRouteDelegate})
-	if len(delegate.Payload) != len(plain.Payload)+1 {
-		t.Fatalf("delegate payload %d bytes, plain %d: flag byte missing", len(delegate.Payload), len(plain.Payload))
+	delegate := EncodeStatsReply(StatsReply{Station: 3, Residents: 5, StorageBytes: 80, Length: 24, Flags: FlagRouteDelegate})
+	if len(delegate.Payload) != len(plain.Payload) {
+		t.Fatalf("delegate payload %d bytes, plain %d", len(delegate.Payload), len(plain.Payload))
 	}
 	got, err = DecodeStatsReply(delegate)
 	if err != nil {
@@ -173,10 +166,8 @@ func TestStatsReplyFlags(t *testing.T) {
 	if got.Flags != FlagRouteDelegate {
 		t.Fatalf("Flags = %d, want %d", got.Flags, FlagRouteDelegate)
 	}
-	// A v5-era payload that ends after MaxVersion still decodes (the flag
-	// byte is optional), proving rolling upgrades keep handshaking.
-	legacy := Message{Kind: KindStatsReply, Payload: plain.Payload}
-	if got, err := DecodeStatsReply(legacy); err != nil || got.MaxVersion != LatestVersion {
-		t.Fatalf("legacy-shaped reply: %+v, %v", got, err)
+	short := Message{Kind: KindStatsReply, Payload: plain.Payload[:len(plain.Payload)-1]}
+	if _, err := DecodeStatsReply(short); err == nil {
+		t.Fatal("stats reply without its flag byte accepted")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	m := Message{Kind: KindReports, Request: 7, Payload: []byte{1, 2, 3}}
+	m := Message{Kind: KindBatchReply, Request: 7, Payload: []byte{1, 2, 3}}
 	got, err := Decode(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -32,31 +32,28 @@ func TestWithRequest(t *testing.T) {
 	}
 }
 
-// TestDecodeVersion1Frame checks the compatibility path: a version-1 frame
-// (8-byte header, no request ID) still decodes, reading back with Request 0.
+// TestDecodeVersion1Frame: a version-1 frame (8-byte header, no request
+// ID) is rejected with ErrBadVersion by both decoders, not misread as a
+// 12-byte header.
 func TestDecodeVersion1Frame(t *testing.T) {
 	payload := []byte("v1")
-	v1 := make([]byte, headerSizeV1+len(payload))
+	v1 := make([]byte, 8+len(payload))
 	v1[0] = 0xA7
 	v1[1] = 0xD1
-	v1[2] = Version1
-	v1[3] = uint8(KindReports)
+	v1[2] = 1
+	v1[3] = uint8(KindBatchReply)
 	v1[4] = uint8(len(payload))
-	copy(v1[headerSizeV1:], payload)
+	copy(v1[8:], payload)
 
-	got, err := Decode(v1)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Decode(v1); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("10-byte v1 frame: err = %v, want ErrTruncated", err)
 	}
-	if got.Kind != KindReports || got.Request != 0 || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("v1 decode: %+v", got)
+	long := append(append([]byte(nil), v1...), 0, 0, 0, 0)
+	if _, err := Decode(long); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v1 frame: err = %v, want ErrBadVersion", err)
 	}
-	stream, err := ReadMessage(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.Kind != KindReports || stream.Request != 0 || !bytes.Equal(stream.Payload, payload) {
-		t.Fatalf("v1 stream decode: %+v", stream)
+	if _, err := ReadMessage(bytes.NewReader(long)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v1 stream: err = %v, want ErrBadVersion", err)
 	}
 }
 
@@ -90,7 +87,7 @@ func TestReadWriteMessage(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		{Kind: KindShipAll, Request: 1},
-		{Kind: KindReports, Request: 2, Payload: []byte("abc")},
+		{Kind: KindBatchReply, Request: 2, Payload: []byte("abc")},
 		{Kind: KindShutdown},
 	}
 	for _, m := range msgs {
@@ -119,7 +116,7 @@ func TestReadMessageRejectsGarbage(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KindWBFQuery; k <= maxKind; k++ {
+	for k := Kind(1); k <= maxKind; k++ {
 		if k.String() == "" || k.String()[0] == 'K' {
 			t.Fatalf("kind %d missing name: %q", k, k.String())
 		}
