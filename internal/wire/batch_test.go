@@ -38,6 +38,37 @@ func TestFrameVersionStamping(t *testing.T) {
 	}
 }
 
+// requireCurrentVersionOnly checks that frame is stamped Version, decodes,
+// and is rejected with ErrBadVersion (never decoded as some other kind)
+// under every earlier version byte.
+func requireCurrentVersionOnly(t *testing.T, frame []byte) {
+	t.Helper()
+	if frame[2] != Version {
+		t.Fatalf("kind %d stamped version %d, want %d", frame[3], frame[2], Version)
+	}
+	if _, err := Decode(frame); err != nil {
+		t.Fatalf("kind %d at version %d: %v", frame[3], Version, err)
+	}
+	for v := uint8(0); v < Version; v++ {
+		old := append([]byte(nil), frame...)
+		old[2] = v
+		if _, err := Decode(old); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("kind %d in version-%d frame: err = %v, want ErrBadVersion", frame[3], v, err)
+		}
+	}
+}
+
+// TestBatchKindRejectedInOldFrames: a batch kind inside a frame of any
+// earlier version is rejected, not decoded.
+func TestBatchKindRejectedInOldFrames(t *testing.T) {
+	m, err := EncodeBatchQuery(BatchQuery{Queries: []core.QueryID{1, 7}, Filter: buildFilter(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCurrentVersionOnly(t, m.Encode())
+	requireCurrentVersionOnly(t, Message{Kind: KindBatchReply, Payload: []byte{1, 2}}.Encode())
+}
+
 func TestBatchQueryRoundTrip(t *testing.T) {
 	f := buildFilter(t)
 	m, err := EncodeBatchQuery(BatchQuery{Queries: []core.QueryID{7, 1}, Filter: f})

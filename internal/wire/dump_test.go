@@ -7,6 +7,30 @@ import (
 	"dimatch/internal/pattern"
 )
 
+// TestDumpVersionStamping: dump kinds are stamped Version, and a decoded
+// dump frame round-trips under that version.
+func TestDumpVersionStamping(t *testing.T) {
+	d := EncodeDump(Dump{Persons: []core.PersonID{1}})
+	frame := d.Encode()
+	if frame[2] != Version {
+		t.Fatalf("dump kind stamped version %d, want %d", frame[2], Version)
+	}
+	got, err := Decode(frame)
+	if err != nil || got.Kind != KindDump {
+		t.Fatalf("decoded kind %v (%v), want %v", got.Kind, err, KindDump)
+	}
+	if again := got.Encode(); again[2] != Version {
+		t.Fatalf("re-encoded dump stamped version %d, want %d", again[2], Version)
+	}
+}
+
+// TestDumpKindRejectedInOldFrames: a dump kind inside a frame of any
+// earlier version is rejected, not decoded.
+func TestDumpKindRejectedInOldFrames(t *testing.T) {
+	requireCurrentVersionOnly(t, EncodeDump(Dump{}).Encode())
+	requireCurrentVersionOnly(t, Message{Kind: KindDumpReply}.Encode())
+}
+
 func TestDumpRoundTrip(t *testing.T) {
 	in := Dump{Persons: []core.PersonID{90, 4, 17}}
 	out, err := DecodeDump(EncodeDump(in))

@@ -116,6 +116,17 @@ func TestDecodeParamUpdateRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestParamUpdateVersionGating: parameter kinds are stamped Version and
+// rejected under any earlier version header.
+func TestParamUpdateVersionGating(t *testing.T) {
+	m, err := EncodeParamUpdate(ParamUpdate{Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCurrentVersionOnly(t, m.Encode())
+	requireCurrentVersionOnly(t, EncodeParamAck(ParamAck{Station: 1, Epoch: 1, Applied: true}).Encode())
+}
+
 func TestParamAckRoundtrip(t *testing.T) {
 	for _, ack := range []ParamAck{
 		{Station: 7, Epoch: 3, Applied: true},

@@ -106,6 +106,13 @@ func TestRouteQueryRoundtrip(t *testing.T) {
 
 // TestRouteReplyRoundtrip pins the region-answer codec, including negative
 // partials (zigzag).
+// TestRouteKindsVersionGated: route kinds are stamped Version and rejected
+// under any earlier version header.
+func TestRouteKindsVersionGated(t *testing.T) {
+	requireCurrentVersionOnly(t, workedRouteQuery(t).Encode())
+	requireCurrentVersionOnly(t, Message{Kind: KindRouteReply}.Encode())
+}
+
 func TestRouteReplyRoundtrip(t *testing.T) {
 	in := RouteReply{
 		Region: 11,

@@ -57,6 +57,14 @@ func TestWorkedSummaryHex(t *testing.T) {
 
 // TestSummaryReplyRejectsCorruption: truncated payloads and implausible
 // word counts fail with typed errors, never panic.
+// TestSummaryKindsVersionGated: summary kinds are stamped Version and
+// rejected under any earlier version header.
+func TestSummaryKindsVersionGated(t *testing.T) {
+	for _, kind := range []Kind{KindSummary, KindSummaryReply} {
+		requireCurrentVersionOnly(t, Message{Kind: kind}.Encode())
+	}
+}
+
 func TestSummaryReplyRejectsCorruption(t *testing.T) {
 	s, err := index.Build(3, []pattern.Pattern{{1, 1, 1}})
 	if err != nil {
