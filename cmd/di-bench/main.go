@@ -67,9 +67,9 @@
 //
 // -run hierarchy compares flat and two-tier deployments at 256/512/1024
 // in-process stations — a root over ~sqrt(N) region coordinators versus one
-// flat coordinator over the same stations, searched under every routing mode
-// with results asserted identical to flat full fan-out and recall 1 before
-// anything is recorded — and, with -hierarchy-out, records the result as
+// flat coordinator over the same stations, each searched with summary
+// routing (the flat one also with full fan-out), with results asserted
+// identical to flat full fan-out and recall 1 before anything is recorded — and, with -hierarchy-out, records the result as
 // BENCH_hierarchy.json. -hierarchy-check validates a recorded baseline and
 // exits non-zero unless at 1024 stations the hierarchical search evaluates
 // at most 0.25·N digest probes per query, no hierarchical coordinator holds

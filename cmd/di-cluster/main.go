@@ -44,14 +44,12 @@
 // With -tiers 2 the command runs the hierarchical-routing chaos smoke
 // instead: a two-tier deployment where region coordinators (dimatch.
 // ServeRegion) sit between the center and its stations over real TCP links.
-// Every person is placed at R>=2 across regions, tree-routed searches run
+// Every person is placed at R>=2 across regions, summary-routed searches run
 // against a full fan-out reference (results must match exactly), and one
 // region coordinator is killed mid-search — taking its whole subtree with
 // it. Cross-region replicas must hold recall at the healthy value; any drop
 // or result divergence exits non-zero, which makes this CI's hierarchy
-// chaos smoke test. -fanout sets the digest-tree fanout at every
-// coordinator (0 keeps the library default); see docs/ROUTING.md for how to
-// choose it.
+// chaos smoke test. See docs/ROUTING.md for how the tiers route.
 package main
 
 import (
@@ -93,7 +91,6 @@ func main() {
 		empty     = flag.Bool("empty", false, "station: start with no local data (residents arrive via recovery and placement)")
 		recovery  = flag.Bool("recover", false, "run the kill-9 station-recovery chaos smoke (ignores -role)")
 		tiers     = flag.Int("tiers", 1, "deployment depth: 1 is flat; 2 runs the hierarchical chaos smoke (region coordinators between center and stations, ignores -role)")
-		fanout    = flag.Int("fanout", 0, "digest-tree fanout at every coordinator (0 uses the library default)")
 	)
 	flag.Parse()
 
@@ -107,7 +104,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "di-cluster: -tiers supports 1 (flat) or 2 (regions); deeper stacks nest ServeRegion the same way")
 			os.Exit(1)
 		}
-		if err := runHierarchyChurn(cfg, *replicas, *fanout); err != nil {
+		if err := runHierarchyChurn(cfg, *replicas); err != nil {
 			fmt.Fprintln(os.Stderr, "di-cluster:", err)
 			os.Exit(1)
 		}
@@ -807,12 +804,12 @@ func runRecoveryChurn(cfg dimatch.CityConfig, dir string) error {
 // subsets of the stations over real TCP links, with the center talking only
 // to the regions. Every person's global pattern is placed at R>=2 — the
 // root's rendezvous hashing spreads the replicas across regions — and
-// tree-routed searches are checked against full fan-out for exact result
+// summary-routed searches are checked against full fan-out for exact result
 // equality before and after one region coordinator is killed mid-search,
 // taking its whole subtree with it. Cross-region replicas must hold recall
 // at the healthy value; any drop or divergence returns an error and the
 // process exits non-zero, which makes this CI's hierarchy chaos smoke test.
-func runHierarchyChurn(cfg dimatch.CityConfig, replicas, fanout int) error {
+func runHierarchyChurn(cfg dimatch.CityConfig, replicas int) error {
 	if replicas < 2 {
 		replicas = 2 // a kill below R=2 is allowed to lose data; the smoke needs the guarantee
 	}
@@ -827,9 +824,8 @@ func runHierarchyChurn(cfg dimatch.CityConfig, replicas, fanout int) error {
 
 	const regionCount = 3
 	opts := dimatch.Options{
-		Params:     dimatch.Params{Samples: 8, Epsilon: 1, Seed: cfg.Seed, PositionSalted: true},
-		MinScore:   0.9,
-		TreeFanout: fanout,
+		Params:   dimatch.Params{Samples: 8, Epsilon: 1, Seed: cfg.Seed, PositionSalted: true},
+		MinScore: 0.9,
 	}
 	var down, up dimatch.Meter
 	ln, err := dimatch.Listen("127.0.0.1:0", &down, &up)
@@ -891,8 +887,8 @@ func runHierarchyChurn(cfg dimatch.CityConfig, replicas, fanout int) error {
 	if err := root.Place(ctx, globals, dimatch.WithReplication(replicas)); err != nil {
 		return err
 	}
-	fmt.Printf("hierarchy demo: %d persons placed at R=%d across %d regions (tree fanout %d)\n",
-		root.Placed(), replicas, regionCount, fanout)
+	fmt.Printf("hierarchy demo: %d persons placed at R=%d across %d regions\n",
+		root.Placed(), replicas, regionCount)
 
 	ref, ok := dimatch.CleanReference(city, dimatch.OfficeWorker)
 	if !ok {
@@ -901,11 +897,11 @@ func runHierarchyChurn(cfg dimatch.CityConfig, replicas, fanout int) error {
 	relevant := dimatch.RelevantSet(city, ref)
 	query := dimatch.QueryFromPerson(city, 1, ref)
 
-	// Every checkpoint runs the search twice — tree-routed through the
+	// Every checkpoint runs the search twice — summary-routed through the
 	// regions, then classic full fan-out — and requires the identical ranked
 	// answer: the routed plan may only change cost, never results.
 	recallAt := func(phase string) (float64, error) {
-		routed, err := root.Search(ctx, []dimatch.Query{query}, dimatch.WithRouting(dimatch.RoutingTree))
+		routed, err := root.Search(ctx, []dimatch.Query{query})
 		if err != nil {
 			return 0, err
 		}
@@ -915,11 +911,11 @@ func runHierarchyChurn(cfg dimatch.CityConfig, replicas, fanout int) error {
 		}
 		rp, fp := routed.Persons(1), full.Persons(1)
 		if len(rp) != len(fp) {
-			return 0, fmt.Errorf("%s tree-routed search returned %d persons, full fan-out %d — routing changed results", phase, len(rp), len(fp))
+			return 0, fmt.Errorf("%s routed search returned %d persons, full fan-out %d — routing changed results", phase, len(rp), len(fp))
 		}
 		for i := range rp {
 			if rp[i] != fp[i] {
-				return 0, fmt.Errorf("%s tree-routed result %d is person %d, full fan-out has %d — routing changed results", phase, i, rp[i], fp[i])
+				return 0, fmt.Errorf("%s routed result %d is person %d, full fan-out has %d — routing changed results", phase, i, rp[i], fp[i])
 			}
 		}
 		conf := dimatch.Evaluate(rp, relevant)
@@ -933,7 +929,7 @@ func runHierarchyChurn(cfg dimatch.CityConfig, replicas, fanout int) error {
 		return err
 	}
 
-	// Background tree-routed searches run across the kill below.
+	// Background routed searches run across the kill below.
 	var (
 		wg       sync.WaitGroup
 		stop     = make(chan struct{})
@@ -949,7 +945,7 @@ func runHierarchyChurn(cfg dimatch.CityConfig, replicas, fanout int) error {
 				return
 			default:
 			}
-			if _, err := root.Search(ctx, []dimatch.Query{query}, dimatch.WithRouting(dimatch.RoutingTree)); err != nil {
+			if _, err := root.Search(ctx, []dimatch.Query{query}); err != nil {
 				bgErr = err
 				return
 			}

@@ -39,12 +39,12 @@ type (
 	// Strategy selects naive / BF / WBF execution.
 	Strategy = cluster.Strategy
 	// RoutingMode selects how a WBF search picks the stations it fans out
-	// to: summary-routed pruning (the default), classic full fan-out, or
-	// digest-tree descent (see docs/ROUTING.md).
+	// to: summary-routed pruning (the default) or classic full fan-out (see
+	// docs/ROUTING.md).
 	RoutingMode = cluster.RoutingMode
-	// RoutingState reports the coordinator's routing-state footprint: cached
-	// per-station digests plus the digest tree's inner nodes. It is the
-	// per-coordinator figure BENCH_hierarchy.json tracks across tiers.
+	// RoutingState reports the coordinator's routing-state footprint: its
+	// cached per-station digests. It is the per-coordinator figure
+	// BENCH_hierarchy.json tracks across tiers.
 	RoutingState = cluster.RoutingState
 	// Outcome is a search's ranked results plus cost accounting.
 	Outcome = cluster.Outcome
@@ -101,17 +101,15 @@ const (
 
 // Routing modes, re-exported. RoutingSummary — the default — probes the
 // coordinator's cached per-station summaries and skips stations that cannot
-// hold a match; RoutingFull forces the classic every-station fan-out;
-// RoutingTree plans by descending a Bloofi-style digest tree, pruning whole
-// subtrees per check instead of scanning every digest (docs/ROUTING.md).
+// hold a match; RoutingFull forces the classic every-station fan-out
+// (docs/ROUTING.md).
 const (
 	RoutingSummary = cluster.RoutingSummary
 	RoutingFull    = cluster.RoutingFull
-	RoutingTree    = cluster.RoutingTree
 )
 
-// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary",
-// "full" and "tree" (case-insensitively) to the routing constants — the
+// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary"
+// and "full" (case-insensitively) to the routing constants — the
 // canonical way for CLIs to turn a flag into a RoutingMode.
 func ParseRoutingMode(s string) (RoutingMode, error) { return cluster.ParseRoutingMode(s) }
 
@@ -154,14 +152,11 @@ func WithBatching(n int) SearchOption { return cluster.WithBatching(n) }
 // possible match — stations without a usable summary are always visited and
 // an all-pruned plan falls back to full fan-out, so results and recall are
 // identical to RoutingFull; only the wasted exchanges differ
-// (CostReport.StationsPruned counts them). RoutingTree keeps the same
-// guarantees but plans by descending a Bloofi-style digest tree (fanout set
-// by Options.TreeFanout), pruning whole subtrees with one union check —
-// sublinear planning cost on large memberships, measured in
-// CostReport.SubtreeProbes. BF and naive searches ignore the mode and always
-// fan out fully. Against region coordinators (see ServeRegion) every mode
-// additionally prunes whole regions by their subtree union digests before
-// delegating. See docs/ROUTING.md.
+// (CostReport.StationsPruned counts them, CostReport.SubtreeProbes the digest
+// probes the plan spent). BF and naive searches ignore the mode and always
+// fan out fully. Against region coordinators (see ServeRegion) summary
+// routing additionally prunes whole regions by the one digest each region
+// rebuilds over its stations before delegating. See docs/ROUTING.md.
 func WithRouting(m RoutingMode) SearchOption { return cluster.WithRouting(m) }
 
 // Sentinel errors returned by Search, re-exported for errors.Is checks.
@@ -361,9 +356,7 @@ func (c *Cluster) KillStation(id uint32) error { return c.inner.KillStation(id) 
 func (c *Cluster) Shutdown() error { return c.inner.Shutdown() }
 
 // RoutingState reports the coordinator's current routing-state footprint:
-// how many per-station digests are cached, their bytes, and the digest
-// tree's inner-node count and bytes (zero until a RoutingTree search builds
-// it). In a multi-tier deployment each coordinator holds state for its own
+// how many per-station digests are cached and their bytes. In a multi-tier deployment each coordinator holds state for its own
 // members only — the sublinear per-coordinator figure the hierarchy
 // benchmark records.
 func (c *Cluster) RoutingState() RoutingState { return c.inner.RoutingState() }

@@ -82,10 +82,8 @@
 // # Hierarchical routing
 //
 // Past a few hundred stations the flat plan itself becomes the cost: the
-// coordinator probes and stores one digest per station. RoutingTree
-// arranges the cached digests in a Bloofi-style digest tree so planning
-// descends unions instead of scanning leaves, and ServeRegion moves whole
-// subtrees out of process — a region coordinator is a full cluster over
+// coordinator probes and stores one digest per station. ServeRegion moves
+// whole subtrees out of process — a region coordinator is a full cluster over
 // its member stations that serves its parent like one big station,
 // answering delegated search rounds with raw partials the root
 // merges, ranks and verifies globally:
@@ -93,13 +91,13 @@
 //	sub, err := dimatch.NewEmptyCluster(opts, memberIDs, length)
 //	go dimatch.ServeRegion(regionID, sub, linkToParent)   // region process
 //	root, err := dimatch.NewClusterWithLinks(opts, links, length, nil, nil)
-//	out, err := root.Search(ctx, queries, dimatch.WithRouting(dimatch.RoutingTree))
+//	out, err := root.Search(ctx, queries)
 //	fmt.Println(out.Cost.TierHops, out.Cost.SubtreeProbes)
 //
-// Every tier prunes conservatively, so routed results stay byte-identical
-// to a flat full fan-out. BENCH_hierarchy.json records the effect (0.16·N
-// probes per query and ~30× less per-coordinator routing state at 1024
-// stations) and docs/ROUTING.md carries the design, the soundness
+// Every tier plans with the same summary scan and prunes conservatively,
+// so routed results stay byte-identical to a flat full fan-out.
+// BENCH_hierarchy.json records the effect (0.153·N probes per query and
+// 32× less per-coordinator routing state at 1024 stations) and docs/ROUTING.md carries the design, the soundness
 // argument and the benchmark methodology.
 //
 // # Adaptive digest parameters

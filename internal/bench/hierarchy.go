@@ -1,10 +1,10 @@
-// Hierarchy benchmark: the recorded digest-tree / multi-tier baseline.
+// Hierarchy benchmark: the recorded multi-tier routing baseline.
 //
 // The sweep stands the same station population up twice at each size — once
 // flat (one coordinator over every in-process station) and once as a two-tier
 // hierarchy (a root over ~sqrt(N) region coordinators, each fronting its
-// share of the stations via ServeRegion) — and measures what the Bloofi-style
-// digest tree and the tier split buy: planning cost in digest probes per
+// share of the stations via ServeRegion) — and measures what the tier split
+// buys under the same summary routing: planning cost in digest probes per
 // query and per-coordinator routing-state bytes, both of which must scale
 // sublinearly in N, where the flat summary scan is linear by construction.
 // Every cell asserts recall 1.0 and results identical to the flat full
@@ -48,9 +48,6 @@ type HierarchyConfig struct {
 	// Repetitions is the number of measured searches per cell after one
 	// untimed warm-up (default 3).
 	Repetitions int
-	// TreeFanout is the digest tree's fanout at every coordinator (default
-	// cluster.Options default).
-	TreeFanout int
 }
 
 func (c HierarchyConfig) withDefaults() HierarchyConfig {
@@ -78,8 +75,8 @@ func (c HierarchyConfig) withDefaults() HierarchyConfig {
 // HierarchyScenario is one measured cell.
 type HierarchyScenario struct {
 	// Topology is "flat" or "hier"; Mode is the routing mode the search ran
-	// under ("full", "summary", "tree" — hier cells always delegate, the
-	// mode steers both the root's region pruning and each region's internal
+	// under ("full" or "summary" — hier cells always delegate, the mode
+	// steers both the root's region pruning and each region's internal
 	// planning).
 	Topology string `json:"topology"`
 	Mode     string `json:"mode"`
@@ -93,8 +90,8 @@ type HierarchyScenario struct {
 	// the query count.
 	ProbesPerQuery float64 `json:"probes_per_query"`
 	// MaxCoordinatorStateBytes is the largest routing-state footprint any
-	// single coordinator holds (cached digests + digest tree): the flat
-	// coordinator's total, or the max over root and regions.
+	// single coordinator holds (its cached station digests): the flat
+	// coordinator's, or the max over root and regions.
 	MaxCoordinatorStateBytes uint64 `json:"max_coordinator_state_bytes"`
 	// StationsPruned counts fan-out targets the plan skipped (regions count
 	// once at the root plus their internal station prunes).
@@ -117,10 +114,8 @@ type HierarchyComparison struct {
 	Stations int `json:"stations"`
 	Regions  int `json:"regions"`
 	// FlatProbesPerQuery is the flat summary scan's planning cost (linear in
-	// N by construction); TreeProbesPerQuery the flat digest-tree descent's;
-	// HierProbesPerQuery the two-tier total.
+	// N by construction); HierProbesPerQuery the two-tier total.
 	FlatProbesPerQuery float64 `json:"flat_probes_per_query"`
-	TreeProbesPerQuery float64 `json:"tree_probes_per_query"`
 	HierProbesPerQuery float64 `json:"hier_probes_per_query"`
 	// HierProbeFraction is HierProbesPerQuery / stations — the acceptance
 	// gate holds it at or under 0.25 at 1024 stations.
@@ -160,8 +155,7 @@ func hierarchyOptions(cfg HierarchyConfig) cluster.Options {
 			Seed:           cfg.Seed,
 			PositionSalted: true,
 		},
-		MinScore:   0.9,
-		TreeFanout: cfg.TreeFanout,
+		MinScore: 0.9,
 	}
 }
 
@@ -291,7 +285,7 @@ func twoTierCluster(cfg HierarchyConfig, data map[uint32]map[core.PersonID]patte
 func (h *hierCluster) maxCoordinatorState() uint64 {
 	var max uint64
 	for _, c := range h.coords {
-		if b := c.RoutingState().TotalBytes(); b > max {
+		if b := c.RoutingState().CachedDigestBytes; b > max {
 			max = b
 		}
 	}
@@ -378,11 +372,6 @@ func RunHierarchyBench(ctx context.Context, cfg HierarchyConfig) (*HierarchyRepo
 			flat.cleanup()
 			return nil, err
 		}
-		tree, _, err := runHierarchyScenario(ctx, flat, cfg, "flat", cluster.RoutingTree, queries, targets, reference)
-		if err != nil {
-			flat.cleanup()
-			return nil, err
-		}
 		flatState := flat.maxCoordinatorState()
 		flat.cleanup()
 
@@ -390,7 +379,7 @@ func RunHierarchyBench(ctx context.Context, cfg HierarchyConfig) (*HierarchyRepo
 		if err != nil {
 			return nil, err
 		}
-		routed, _, err := runHierarchyScenario(ctx, hier, cfg, "hier", cluster.RoutingTree, queries, targets, reference)
+		routed, _, err := runHierarchyScenario(ctx, hier, cfg, "hier", cluster.RoutingSummary, queries, targets, reference)
 		if err != nil {
 			hier.cleanup()
 			return nil, err
@@ -399,13 +388,12 @@ func RunHierarchyBench(ctx context.Context, cfg HierarchyConfig) (*HierarchyRepo
 		regions := hier.regions
 		hier.cleanup()
 
-		full.Stations, summary.Stations, tree.Stations, routed.Stations = stations, stations, stations, stations
-		report.Scenarios = append(report.Scenarios, full, summary, tree, routed)
+		full.Stations, summary.Stations, routed.Stations = stations, stations, stations
+		report.Scenarios = append(report.Scenarios, full, summary, routed)
 		report.Comparisons = append(report.Comparisons, HierarchyComparison{
 			Stations:           stations,
 			Regions:            regions,
 			FlatProbesPerQuery: summary.ProbesPerQuery,
-			TreeProbesPerQuery: tree.ProbesPerQuery,
 			HierProbesPerQuery: routed.ProbesPerQuery,
 			HierProbeFraction:  routed.ProbesPerQuery / float64(stations),
 			FlatStateBytes:     flatState,
@@ -499,7 +487,7 @@ func RenderHierarchy(w io.Writer, r *HierarchyReport) {
 			s.Stations, s.Topology, s.Mode, s.Regions, s.ProbesPerQuery, s.MaxCoordinatorStateBytes, s.StationsPruned, s.TierHops, s.MessagesPerQuery, s.P50Micros)
 	}
 	for _, cmp := range r.Comparisons {
-		fmt.Fprintf(w, "at %d stations (%d regions): hier %.1f probes/query (%.3f of N) vs flat scan %.1f, tree %.1f; max coordinator state %d B vs flat %d B\n",
-			cmp.Stations, cmp.Regions, cmp.HierProbesPerQuery, cmp.HierProbeFraction, cmp.FlatProbesPerQuery, cmp.TreeProbesPerQuery, cmp.HierMaxStateBytes, cmp.FlatStateBytes)
+		fmt.Fprintf(w, "at %d stations (%d regions): hier %.1f probes/query (%.3f of N) vs flat scan %.1f; max coordinator state %d B vs flat %d B\n",
+			cmp.Stations, cmp.Regions, cmp.HierProbesPerQuery, cmp.HierProbeFraction, cmp.FlatProbesPerQuery, cmp.HierMaxStateBytes, cmp.FlatStateBytes)
 	}
 }

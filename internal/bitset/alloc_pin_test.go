@@ -19,17 +19,3 @@ func TestNoallocCount(t *testing.T) {
 		t.Fatalf("(*Set).Count allocates %v times per run; //dimatch:noalloc requires 0", n)
 	}
 }
-
-func TestNoallocUnionWith(t *testing.T) {
-	dst, src := New(1<<12), New(1<<12)
-	for i := uint64(0); i < src.Len(); i += 5 {
-		src.Set(i)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := dst.UnionWith(src); err != nil {
-			panic(err)
-		}
-	}); n != 0 {
-		t.Fatalf("(*Set).UnionWith allocates %v times per run; //dimatch:noalloc requires 0", n)
-	}
-}

@@ -133,70 +133,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// UnionWith ORs o into s. Both sets must have the same length.
-//
-// Digest accumulation — Bloofi tree builds, hierarchy union summaries —
-// spends its time in this loop, so it is unrolled four words wide; the
-// re-slice of s.words to o's length lets the compiler drop the bounds
-// checks inside the unrolled body.
-//
-//dimatch:noalloc
-func (s *Set) UnionWith(o *Set) error {
-	if s.n != o.n {
-		return fmt.Errorf("bitset: union of mismatched lengths %d and %d", s.n, o.n) //dimatch:allow noalloc — cold mismatch path, never taken while accumulating
-	}
-	b := o.words
-	a := s.words[:len(b)]
-	i := 0
-	for ; i+4 <= len(b); i += 4 {
-		a[i] |= b[i]
-		a[i+1] |= b[i+1]
-		a[i+2] |= b[i+2]
-		a[i+3] |= b[i+3]
-	}
-	for ; i < len(b); i++ {
-		a[i] |= b[i]
-	}
-	return nil
-}
-
-// OrFoldFrom ORs o into s across mismatched lengths, folding or expanding
-// by word replication. Both lengths must be word-aligned multiples of 64 and
-// one must divide the other.
-//
-// When o is longer, bit p of o lands on bit p mod s.Len() of s (fold); when
-// o is shorter, every bit q of o lands on all bits ≡ q (mod o.Len()) of s
-// (expand). For double-hashed Bloom positions over power-of-two lengths both
-// directions are conservative: a position x mod M maps onto x mod m whenever
-// m divides M, so any element whose bits are set in o has all its
-// s-geometry bits set in s afterwards.
-func (s *Set) OrFoldFrom(o *Set) error {
-	if s.n == o.n {
-		return s.UnionWith(o)
-	}
-	if s.n == 0 || o.n == 0 || s.n%64 != 0 || o.n%64 != 0 {
-		return fmt.Errorf("bitset: fold of unaligned lengths %d and %d", s.n, o.n)
-	}
-	if o.n > s.n {
-		if o.n%s.n != 0 {
-			return fmt.Errorf("bitset: cannot fold %d bits onto %d (not a multiple)", o.n, s.n)
-		}
-		w := len(s.words)
-		for i, x := range o.words {
-			s.words[i%w] |= x
-		}
-		return nil
-	}
-	if s.n%o.n != 0 {
-		return fmt.Errorf("bitset: cannot expand %d bits onto %d (not a multiple)", o.n, s.n)
-	}
-	w := len(o.words)
-	for i := range s.words {
-		s.words[i] |= o.words[i%w]
-	}
-	return nil
-}
-
 // SizeBytes returns the in-memory size of the bit storage in bytes, used by
 // the storage-cost experiments.
 func (s *Set) SizeBytes() uint64 {

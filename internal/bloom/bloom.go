@@ -82,19 +82,6 @@ func (f *Filter) Contains(v int64) bool {
 	return true
 }
 
-// AbsorbFold ORs src's bits into f, folding or expanding across mismatched
-// power-of-two lengths (bitset.OrFoldFrom), and accounts src's insertions.
-// The caller is responsible for seed compatibility and for probing the
-// result with at most src's hash count; given those, every element of src
-// still tests positive in f — the union is conservative.
-func (f *Filter) AbsorbFold(src *Filter) error {
-	if err := f.bits.OrFoldFrom(src.bits); err != nil {
-		return fmt.Errorf("bloom: %w", err)
-	}
-	f.n += src.n
-	return nil
-}
-
 // N returns the number of Add calls (inserted elements, with multiplicity).
 func (f *Filter) N() uint64 { return f.n }
 

@@ -80,14 +80,8 @@ type Options struct {
 	// Routing selects the default fan-out routing for WBF searches. The
 	// zero value, RoutingSummary, prunes stations whose cached routing
 	// summary admits no possible match; RoutingFull keeps the classic
-	// every-station fan-out; RoutingTree plans over the Bloofi digest tree.
-	// Override per call with WithRouting.
+	// every-station fan-out. Override per call with WithRouting.
 	Routing RoutingMode
-	// TreeFanout bounds the digest tree's node width under RoutingTree
-	// (default tree.DefaultFanout). Smaller fanouts prune with fewer union
-	// probes per level but hold more inner-node unions; see docs/ROUTING.md
-	// and docs/OPERATIONS.md for choosing it.
-	TreeFanout int
 	// AdaptWindow is the traffic profiler's sliding window in observed
 	// band probes: once that many accumulate, every counter halves, so the
 	// profile tracks the recent mix instead of all history (see
@@ -146,12 +140,11 @@ type CostReport struct {
 	SummaryBytesDown uint64
 	SummaryBytesUp   uint64
 	// SubtreeProbes counts digest-membership evaluations the routing plan
-	// performed: one per (probe, digest) pair under RoutingSummary's flat
-	// scan, one per (probe, tree node) visited under RoutingTree's descent —
-	// including union probes on pruned subtrees and the root's probes on
-	// region digests. It is the planning-cost figure BENCH_hierarchy.json
-	// tracks: flat planning grows linearly in the membership, tree descent
-	// sublinearly.
+	// performed: one per (probe, station digest) pair of the flat scan plus
+	// one per (probe, region digest) pair at the delegate tier. It is the
+	// planning-cost figure BENCH_hierarchy.json tracks: a flat scan grows
+	// linearly in the membership, a two-tier one with the children per
+	// coordinator.
 	SubtreeProbes uint64
 	// TierHops is the coordinator depth this WBF search traversed: 1 for a
 	// flat cluster, 1 + the deepest delegate's own TierHops when route
@@ -1204,11 +1197,10 @@ func (c *Cluster) searchWBF(ctx context.Context, ep *epoch, cfg searchConfig, qu
 	// never cached: a region's membership churns invisibly to this
 	// coordinator, so every search refetches (see docs/ROUTING.md).
 	plainEp, delegates := c.splitDelegates(ctx, ep)
-	// The routing step: probe the per-station summaries (flat scan or Bloofi
-	// tree descent) and restrict the query fan-out to stations that might
-	// answer. Verification below still uses the full epoch — a candidate's
-	// locals can live on stations that hold no within-band resident, and the
-	// verify fetch must see them all.
+	// The routing step: probe the per-station summaries and restrict the
+	// query fan-out to stations that might answer. Verification below still
+	// uses the full epoch — a candidate's locals can live on stations that
+	// hold no within-band resident, and the verify fetch must see them all.
 	routeEp := plainEp
 	if cfg.routing != RoutingFull {
 		routeEp = c.planRoute(ctx, plainEp, cfg, queries, &out.Cost)
@@ -1302,15 +1294,16 @@ func rawResults(agg *core.Aggregator, q core.QueryID) []core.Result {
 // answers its region's raw per-person partial sums, which merge into the
 // shared aggregation exactly as AddFrom would one tier down (core's Merge).
 //
-// Under summary or tree routing the root first pulls each delegate's
-// aggregate digest — the bitwise-OR union of its whole subtree — and skips
-// regions whose digest denies every probe. The pruning is conservative at
-// this tier too: a failed or geometry-foreign digest fetch leaves the region
-// visited, unselective probes visit everything, and an all-pruned delegate
-// tier falls back to full fan-out, mirroring planRoute's rule. Digest
-// traffic is billed to the Summary* counters; the route exchange itself to
-// the search's Bytes/Messages totals. A delegate whose exchange fails is
-// counted in failedStations exactly like a station.
+// Under summary routing the root first pulls each delegate's region digest —
+// rebuilt by the region from its stations' raw dumps (Cluster.routingDigest),
+// never an OR of member digests — and skips regions whose digest denies
+// every probe. The pruning is conservative at this tier too: a failed or
+// geometry-foreign digest fetch leaves the region visited, unselective
+// probes visit everything, and an all-pruned delegate tier falls back to
+// full fan-out, mirroring planRoute's rule. Digest traffic is billed to the
+// Summary* counters; the route exchange itself to the search's
+// Bytes/Messages totals. A delegate whose exchange fails is counted in
+// failedStations exactly like a station.
 func (c *Cluster) fanDelegates(ctx context.Context, delegates []delegatePeer, cfg searchConfig, queries []core.Query, agg *core.Aggregator, out *Outcome, failedStations map[uint32]bool) (maxHops int, err error) {
 	if len(delegates) == 0 {
 		return 0, nil
@@ -1331,7 +1324,7 @@ func (c *Cluster) fanDelegates(ctx context.Context, delegates []delegatePeer, cf
 	}
 
 	// The pruning probes: same construction as planRoute's, probing each
-	// region's union digest instead of per-station ones.
+	// region's digest instead of per-station ones.
 	var probes []index.Probe
 	if cfg.routing != RoutingFull {
 		for _, q := range queries {

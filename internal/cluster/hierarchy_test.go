@@ -125,48 +125,11 @@ func emptyHierarchy(t *testing.T, regions, stationsPerRegion, length int) *hiera
 	return h
 }
 
-// TestTreeRoutedSearchMatchesSummaryAndFull is the flat-cluster pin for the
-// new mode: tree descent answers exactly like the per-station scan and like
-// full fan-out, prunes at least as hard, and bills its union probes.
-func TestTreeRoutedSearchMatchesSummaryAndFull(t *testing.T) {
-	c := routingTestCluster(t)
-	ctx := context.Background()
-	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{50, 60, 70}}}}
-
-	full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	summary, err := c.Search(ctx, queries, WithRouting(RoutingSummary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := c.Search(ctx, queries, WithRouting(RoutingTree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "summary", queries, full, summary)
-	assertSameResults(t, "tree", queries, full, tree)
-	if tree.Cost.StationsPruned != 3 {
-		t.Fatalf("tree StationsPruned = %d, want 3", tree.Cost.StationsPruned)
-	}
-	if tree.Cost.SubtreeProbes == 0 {
-		t.Fatal("tree search billed no SubtreeProbes")
-	}
-	if tree.Cost.TierHops != 1 {
-		t.Fatalf("flat tree search TierHops = %d, want 1", tree.Cost.TierHops)
-	}
-	st := c.RoutingState()
-	if st.Entries == 0 || st.TreeBytes == 0 || st.TotalBytes() == 0 {
-		t.Fatalf("RoutingState not populated after tree search: %+v", st)
-	}
-}
-
-// TestTreeChurnEquivalence is the three-way churn sweep (run under -race):
-// random ingests, evicts, station adds, removes and kills interleave with
-// searches, and after every mutation the tree-routed and summary-routed
-// answers must equal the full fan-out answer on the same store.
-func TestTreeChurnEquivalence(t *testing.T) {
+// TestRoutedMembershipChurnEquivalence is the membership churn sweep (run
+// under -race): random ingests, evicts, station adds and removes interleave
+// with searches, and after every mutation the summary-routed answer must
+// equal the full fan-out answer on the same store.
+func TestRoutedMembershipChurnEquivalence(t *testing.T) {
 	c := routingTestCluster(t)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -237,12 +200,7 @@ func TestTreeChurnEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := c.Search(ctx, queries, WithRouting(RoutingTree))
-		if err != nil {
-			t.Fatal(err)
-		}
 		assertSameResults(t, fmt.Sprintf("summary step %d", step), queries, full, summary)
-		assertSameResults(t, fmt.Sprintf("tree step %d", step), queries, full, tree)
 	}
 }
 
@@ -270,7 +228,7 @@ func TestHierarchicalSearchMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []RoutingMode{RoutingFull, RoutingSummary, RoutingTree} {
+	for _, mode := range []RoutingMode{RoutingFull, RoutingSummary} {
 		got, err := h.root.Search(ctx, queries, WithRouting(mode))
 		if err != nil {
 			t.Fatal(err)
@@ -418,7 +376,7 @@ func TestHierarchicalIngestEvictThroughRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []core.Query{{ID: 1, Locals: []pattern.Pattern{{7, 8, 9}}}}
-	for _, mode := range []RoutingMode{RoutingSummary, RoutingTree, RoutingFull} {
+	for _, mode := range []RoutingMode{RoutingSummary, RoutingFull} {
 		out, err := h.root.Search(ctx, queries, WithRouting(mode))
 		if err != nil {
 			t.Fatal(err)
@@ -478,7 +436,7 @@ func TestHierarchicalChurnEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []RoutingMode{RoutingSummary, RoutingTree} {
+		for _, mode := range []RoutingMode{RoutingSummary} {
 			got, err := h.root.Search(ctx, queries, WithRouting(mode))
 			if err != nil {
 				t.Fatal(err)

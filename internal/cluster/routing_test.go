@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -91,6 +92,12 @@ func TestRoutedSearchPrunesAndMatchesFullFanOut(t *testing.T) {
 	assertSameResults(t, "warm", queries, full, warm)
 	if warm.Cost.SummaryRefreshes != 0 || warm.Cost.StationsPruned != 3 {
 		t.Fatalf("warm routed search: %+v", warm.Cost)
+	}
+	if warm.Cost.SubtreeProbes == 0 || warm.Cost.TierHops != 1 {
+		t.Fatalf("warm routed search billed no probes or wrong tier depth: %+v", warm.Cost)
+	}
+	if st := c.RoutingState(); st.Entries != 4 || st.CachedDigestBytes == 0 {
+		t.Fatalf("RoutingState not populated after routed searches: %+v", st)
 	}
 
 	// The legacy per-query pipeline routes identically.
@@ -414,8 +421,10 @@ func TestParseRoutingMode(t *testing.T) {
 			t.Fatalf("ParseRoutingMode(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseRoutingMode("sideways"); err == nil {
-		t.Fatal("bad mode accepted")
+	for _, bad := range []string{"sideways", "tree"} {
+		if _, err := ParseRoutingMode(bad); !errors.Is(err, ErrUnknownRouting) {
+			t.Fatalf("ParseRoutingMode(%q) err = %v, want ErrUnknownRouting", bad, err)
+		}
 	}
 	if RoutingSummary.String() != "summary" || RoutingFull.String() != "full" {
 		t.Fatal("RoutingMode.String drifted")

@@ -66,15 +66,6 @@ const (
 	// RoutingFull forces the classic full fan-out: every member station is
 	// visited, no summaries are fetched or probed.
 	RoutingFull
-	// RoutingTree keeps the per-station digests in a Bloofi-style digest tree
-	// (internal/index/tree) and plans each search by descending it: a whole
-	// subtree whose union digest denies every probe is pruned with one check
-	// instead of one per station. Pruning stays exactly as conservative as
-	// RoutingSummary — the tree's inner nodes are bitwise-OR unions, which
-	// only ever over-admit — so results are identical; the mode trades a few
-	// union probes for sublinear planning cost on large memberships. See
-	// docs/ROUTING.md.
-	RoutingTree
 )
 
 func (m RoutingMode) String() string {
@@ -83,25 +74,21 @@ func (m RoutingMode) String() string {
 		return "summary"
 	case RoutingFull:
 		return "full"
-	case RoutingTree:
-		return "tree"
 	default:
 		return fmt.Sprintf("RoutingMode(%d)", int(m))
 	}
 }
 
-// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary",
-// "full" and "tree" (case-insensitively) to the routing constants.
+// ParseRoutingMode is the inverse of RoutingMode.String: it maps "summary"
+// and "full" (case-insensitively) to the routing constants.
 func ParseRoutingMode(s string) (RoutingMode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "summary":
 		return RoutingSummary, nil
 	case "full":
 		return RoutingFull, nil
-	case "tree":
-		return RoutingTree, nil
 	default:
-		return 0, fmt.Errorf("%w: %q (want summary, full or tree)", ErrUnknownRouting, s)
+		return 0, fmt.Errorf("%w: %q (want summary or full)", ErrUnknownRouting, s)
 	}
 }
 

@@ -27,10 +27,9 @@
 // per group. An adaptive digest can only over-admit — wasted visits, never
 // a lost match — and it self-describes its geometry on the wire, so a
 // coordinator probing digests from mixed parameter epochs stays
-// conservative for each of them individually. Adaptive digests are excluded
-// from the Bloofi union tree (Unionable reports false): their partitioned
-// key space does not fold, so the tree's callers keep such stations on the
-// flat probe path instead.
+// conservative for each of them individually. An adaptive digest fits in
+// exactly the bits the static one would get (StaticBudgetBits), so
+// switching a station between the two never changes its memory footprint.
 package index
 
 import (

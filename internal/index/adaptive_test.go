@@ -124,36 +124,6 @@ func TestAdaptiveQuantizationConservative(t *testing.T) {
 	}
 }
 
-// TestAdaptiveNotUnionable pins the tree-safety property: adaptive digests
-// refuse to merge (with static peers and with each other), so the summary
-// tree never aggregates mixed-parameter bit arrays and the coordinator falls
-// back to flat per-station probing for adaptive members.
-func TestAdaptiveNotUnionable(t *testing.T) {
-	length := 4
-	locals := adaptiveFixtureLocals(length, 16)
-	static, err := Build(length, locals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := BuildAdaptive(adaptiveFixturePlan(length), length, locals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if static.Unionable(adaptive) || adaptive.Unionable(static) {
-		t.Fatal("adaptive digest claims unionability with a static one")
-	}
-	other, err := BuildAdaptive(adaptiveFixturePlan(length), length, locals[:8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.Unionable(other) {
-		t.Fatal("two adaptive digests claim unionability")
-	}
-	if static.Unionable(static.Clone()) != true {
-		t.Fatal("static unionability regressed")
-	}
-}
-
 // TestAdaptiveCloneAndAdd: Clone must deep-copy the bit array (mutating the
 // clone leaves the original alone) while sharing the immutable geometry.
 func TestAdaptiveCloneAndAdd(t *testing.T) {

@@ -116,73 +116,21 @@ func New(length, expectedResidents int, fpTarget float64, seed uint64) (*Summary
 }
 
 // MinFilterBits floors every summary's filter length: 64 bits keeps the
-// smallest summary word-aligned, which the fold/expand union arithmetic
-// (Absorb) depends on.
+// smallest summary one whole word.
 const MinFilterBits = 64
 
 // ceilPow2 rounds m up to the next power of two, at least MinFilterBits.
 // Power-of-two lengths cost at most 2x the optimal bit count (so the
-// false-admit rate only drops) and buy the union property: with the
-// double-hashed position sequence (h1 + i*h2) mod m, a filter folds onto any
-// smaller power-of-two geometry and expands onto any larger one without
-// losing an element — the basis of the Bloofi-style digest tree in
-// index/tree.
+// false-admit rate only drops) and give every summary a fixed, word-aligned
+// size that depends only on its resident count. StaticBudgetBits mirrors
+// this rounding, so an adaptive digest gets exactly the static budget, and
+// the summary's wire bytes stay a function of the station's shape.
 func ceilPow2(m uint64) uint64 {
 	p := uint64(MinFilterBits)
 	for p < m {
 		p <<= 1
 	}
 	return p
-}
-
-// isPow2 reports whether m is a power of two.
-func isPow2(m uint64) bool { return m != 0 && m&(m-1) == 0 }
-
-// NewUnion returns an empty union summary with explicit power-of-two
-// geometry, the inner-node shape of the digest tree. bits is rounded up to
-// a power of two (minimum MinFilterBits); hashes must be positive.
-func NewUnion(length int, seed uint64, bits uint64, hashes int) (*Summary, error) {
-	if length <= 0 {
-		return nil, fmt.Errorf("index: union pattern length %d, want > 0", length)
-	}
-	f, err := bloom.New(ceilPow2(bits), hashes, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Summary{length: length, seed: seed, filter: f}, nil
-}
-
-// Unionable reports whether child can be conservatively absorbed into s:
-// same key space (seed and pattern length), power-of-two geometries on both
-// sides so the fold/expand arithmetic applies, and a child hash count no
-// smaller than s's — s probes its own k positions, and each of those is
-// among the k' >= k positions the child set per element. Adaptive digests
-// (per-group partitioned key spaces) never union: their positions do not
-// fold onto a flat geometry, so callers must keep them on the flat probe
-// path.
-func (s *Summary) Unionable(child *Summary) bool {
-	return child != nil &&
-		s.planEpoch == 0 && child.planEpoch == 0 &&
-		s.seed == child.seed &&
-		s.length == child.length &&
-		isPow2(s.filter.M()) && isPow2(child.filter.M()) &&
-		child.filter.K() >= s.filter.K()
-}
-
-// Absorb ORs child into s (fold or expand, depending on which geometry is
-// larger) and accounts its residents. After a successful Absorb, every probe
-// the child admits is admitted by s too — the union is strictly
-// conservative. Children that fail Unionable are rejected; the caller must
-// leave their station un-pruned instead.
-func (s *Summary) Absorb(child *Summary) error {
-	if !s.Unionable(child) {
-		return fmt.Errorf("index: cannot union summaries (seed/length/geometry mismatch)")
-	}
-	if err := s.filter.AbsorbFold(child.filter); err != nil {
-		return err
-	}
-	s.residents += child.residents
-	return nil
 }
 
 // Saturated returns a minimal summary that admits every selective probe: all

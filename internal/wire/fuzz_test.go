@@ -29,7 +29,7 @@ const (
 		"030201719a3d0cbfe5a75140000000000000000702" +
 		"010119402202542008"
 	// The route worked frames from docs/WIRE.md: a KindRouteQuery delegating a
-	// one-query round (auto-sized params, tree routing) and the region's
+	// one-query round (auto-sized params, routing byte 2) and the region's
 	// KindRouteReply carrying one raw partial result.
 	workedRouteQueryHex = "a7d108122a000000" + "2c000000" +
 		"01070204020400020400020204" +
